@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -37,14 +38,14 @@ from .experiments import (
     run_resonance_sampling,
 )
 from .geronimo_case import gc_forward
-from .jacobi import JacobiCoefficients
+from .jacobi import JacobiCoefficients, perturbation_order
 from .spectra import (
     EIGENVALUE,
     canonicalize_conjugates,
     classify,
-    is_in_S,
     joukowsky,
     polynomial_roots,
+    resolve,
 )
 
 DEFAULT_SEED = 1234
@@ -121,6 +122,14 @@ def cmd_sample(args) -> int:
             fh.write(_dump(rec) + "\n")
         for rec in result.failures:
             fh.write(_dump(rec) + "\n")
+    rejected = Counter(rec["clause"] for rec in result.records if not rec["in_S"])
+    if rejected:
+        by_clause = ", ".join(f"{clause}: {count}" for clause, count in sorted(rejected.items()))
+        print(
+            f"warning: {sum(rejected.values())} of {len(result.records)} records not in S "
+            f"({by_clause})",
+            file=sys.stderr,
+        )
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -146,15 +155,14 @@ def cmd_spectrum(args) -> int:
         _usage(str(exc))
         return 2
     seq = gc_forward(coeffs)
-    config = classify(canonicalize_conjugates(polynomial_roots(seq.final)))
-    verdict = is_in_S(2 * coeffs.n, config) if config.count == 2 * coeffs.n else None
+    config, verdict = resolve(polynomial_roots(seq.final), perturbation_order(coeffs))
     doc = {
         "a": list(coeffs.a),
         "b": list(coeffs.b),
         "polynomial": [float(c) for c in seq.final.coeffs],
         "zeros": [[z.real, z.imag, lab] for z, lab in zip(config.points, config.labels)],
-        "in_S": bool(verdict) if verdict is not None else False,
-        "clause": verdict.clause if verdict is not None else "count",
+        "in_S": bool(verdict),
+        "clause": verdict.clause,
         "eigenvalues": sorted(
             joukowsky(z).real for z, lab in zip(config.points, config.labels) if lab == EIGENVALUE
         ),

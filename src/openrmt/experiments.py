@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy import stats as spstats
 
-from .density import DensityParams, log_density_random_kappa, normalization_constants
+from .density import DensityParams, _real_product, normalization_constants
 from .ensembles import (
     EnsembleParams,
     KappaDistribution,
@@ -44,8 +44,14 @@ from .identities import (
     stepwise_jacobian_fd,
     total_jacobian_fd,
 )
-from .jacobi import JacobiCoefficients, TruncatedOperator, assemble_coupled, tridiag_eigenvalues
-from .spectra import canonicalize_conjugates, classify, is_in_S, polynomial_roots
+from .jacobi import (
+    JacobiCoefficients,
+    TruncatedOperator,
+    assemble_coupled,
+    perturbation_order,
+    tridiag_eigenvalues,
+)
+from .spectra import polynomial_roots, resolve
 
 ALPHA = 0.01
 ROUNDTRIP_PRECISION = 40
@@ -116,25 +122,23 @@ def random_coefficients(stream: RandomStream, n: int, avoid_unit_last_a: bool = 
     return JacobiCoefficients(tuple(float(x) for x in a), tuple(float(x) for x in b))
 
 
-def _real_point_product(config) -> float:
-    out = 1.0
-    for z in config.points:
-        if z.imag > 0:
-            out *= z.real * z.real + z.imag * z.imag
-        elif z.imag == 0:
-            out *= z.real
-    return out
+def _pipeline_record(params: EnsembleParams, stream: RandomStream, trial: int) -> dict:
+    """One full sampling trial: block, coupling, recursion, zeros, checks.
 
-
-def _pipeline_record(params: EnsembleParams, seed: int, trial: int) -> dict:
-    """One full sampling trial: block, coupling, recursion, zeros, checks."""
-    stream = RandomStream(seed).substream(trial)
+    The coupling residual compares kappa with sqrt(1 - prod z_j) over all
+    2n zeros, so any dropped origin zero makes the product 0.
+    """
     sample = sample_de_tridiagonal(params, stream)
     kappa = sample_kappa(params.kappa, stream)
     coeffs = assemble_coupled(sample, params.gamma, kappa)
-    seq = gc_forward(coeffs)
-    config = classify(canonicalize_conjugates(polynomial_roots(seq.final)))
-    record = {
+    roots = polynomial_roots(gc_forward(coeffs).final)
+    config, verdict = resolve(roots, perturbation_order(coeffs))
+    if verdict.clause == "count":
+        residual = math.inf
+    else:
+        prod = 0.0 if config.origin_drops else _real_product(config)
+        residual = abs(kappa - (math.sqrt(1.0 - prod) if prod < 1.0 else math.nan))
+    return {
         "trial": trial,
         "s": [float(x) for x in sample.s],
         "t": [float(x) for x in sample.t],
@@ -142,20 +146,10 @@ def _pipeline_record(params: EnsembleParams, seed: int, trial: int) -> dict:
         "a": [float(x) for x in coeffs.a],
         "b": [float(x) for x in coeffs.b],
         "zeros": [[z.real, z.imag, lab] for z, lab in zip(config.points, config.labels)],
+        "in_S": bool(verdict),
+        "clause": verdict.clause,
+        "kappa_check_residual": residual,
     }
-    expected_count = 2 * params.n
-    if config.count != expected_count:
-        record["in_S"] = False
-        record["clause"] = "count"
-        record["kappa_check_residual"] = math.inf
-        return record
-    verdict = is_in_S(expected_count, config)
-    prod = _real_point_product(config)
-    implied = math.sqrt(1.0 - prod) if prod < 1.0 else math.nan
-    record["in_S"] = bool(verdict)
-    record["clause"] = verdict.clause
-    record["kappa_check_residual"] = abs(kappa - implied)
-    return record
 
 
 def _pipeline_chunk(args) -> list[dict]:
@@ -163,7 +157,7 @@ def _pipeline_chunk(args) -> list[dict]:
     out = []
     for trial in range(start, stop):
         try:
-            out.append(_pipeline_record(params, seed, trial))
+            out.append(_pipeline_record(params, RandomStream(seed).substream(trial), trial))
         except Exception as exc:
             out.append({"trial": trial, "error": f"{type(exc).__name__}: {exc}"})
     return out
@@ -211,19 +205,9 @@ def _membership_chunk(args) -> list[tuple]:
         stream = RandomStream(seed).substream(trial)
         beta = betas[trial % len(betas)]
         n = int(stream.generator.integers(1, max_n + 1))
-        params = EnsembleParams(beta, n, gamma, dist)
         try:
-            sample = sample_de_tridiagonal(params, stream)
-            kappa = sample_kappa(dist, stream)
-            coeffs = assemble_coupled(sample, gamma, kappa)
-            config = classify(canonicalize_conjugates(polynomial_roots(gc_forward(coeffs).final)))
-            if config.count != 2 * n:
-                rows.append((False, math.inf, "count"))
-                continue
-            verdict = is_in_S(2 * n, config)
-            prod = _real_point_product(config)
-            implied = math.sqrt(1.0 - prod) if prod < 1.0 else math.nan
-            rows.append((bool(verdict), abs(kappa - implied), verdict.clause))
+            rec = _pipeline_record(EnsembleParams(beta, n, gamma, dist), stream, trial)
+            rows.append((rec["in_S"], rec["kappa_check_residual"], rec["clause"]))
         except Exception as exc:
             rows.append((False, math.inf, type(exc).__name__))
     return rows

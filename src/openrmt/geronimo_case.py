@@ -131,13 +131,18 @@ def _div_one_minus_z2(num: list, zero):
 
 
 def _k_lists_from_lstar(lcoeffs: list, one) -> list:
-    """K having the same even degree as L*, from the reversal identity."""
+    """K from L* by the reversal identity, (L - z^s L*) / (1 - z^2).
+
+    The shift s is 2 at an even ladder index and 1 at an odd one, where
+    K equals the companion one level below.
+    """
     zero = one - one
     m = len(lcoeffs) - 1
+    shift = 1 if m % 2 else 2
     num = [zero] * (m + 3)
     for i in range(m + 1):
         num[i] = num[i] + lcoeffs[m - i]  # reversal of L*
-        num[i + 2] = num[i + 2] - lcoeffs[i]  # minus z^2 L*
+        num[i + shift] = num[i + shift] - lcoeffs[i]  # minus z^s L*
     q, rem = _div_one_minus_z2(num, zero)
     scale = _coeff_scale(lcoeffs)
     if max(abs(float(rem[0])), abs(float(rem[1]))) > REMAINDER_RTOL * scale:
@@ -148,40 +153,12 @@ def _k_lists_from_lstar(lcoeffs: list, one) -> list:
     return q
 
 
-def k_from_lstar(lstar_even: RealPolynomial) -> RealPolynomial:
-    """Companion polynomial K_{2k} recovered from L*_{2k} alone."""
-    if lstar_even.degree % 2 or lstar_even.degree < 0:
-        raise ValueError("k_from_lstar needs an even-degree polynomial")
-    if not lstar_even.is_monic:
+def k_from_lstar(lstar: RealPolynomial) -> RealPolynomial:
+    """Companion polynomial K_m recovered from L*_m alone, at either parity."""
+    if not lstar.is_monic:
         raise ValueError("k_from_lstar needs a monic polynomial")
-    cs = list(lstar_even.coeffs)
-    one = cs[-1]
-    return RealPolynomial(_k_lists_from_lstar(cs, one))
-
-
-def _k_odd_from_lstar(lcoeffs: list, one) -> list:
-    """K_{2k} from L*_{2k+1}: (L_{2k+1} - z L*_{2k+1}) / (1 - z^2)."""
-    zero = one - one
-    m = len(lcoeffs) - 1
-    num = [zero] * (m + 3)
-    for i in range(m + 1):
-        num[i] = num[i] + lcoeffs[m - i]
-        num[i + 1] = num[i + 1] - lcoeffs[i]
-    q, rem = _div_one_minus_z2(num, zero)
-    scale = _coeff_scale(lcoeffs)
-    if max(abs(float(rem[0])), abs(float(rem[1]))) > REMAINDER_RTOL * scale:
-        raise InversionError("odd-level companion recovery left a large remainder")
-    return q
-
-
-def k_from_lstar_odd(lstar_odd: RealPolynomial) -> RealPolynomial:
-    """Companion polynomial at an odd ladder index (equals the one below it)."""
-    if lstar_odd.degree % 2 == 0 or lstar_odd.degree < 1:
-        raise ValueError("k_from_lstar_odd needs an odd-degree polynomial")
-    if not lstar_odd.is_monic:
-        raise ValueError("k_from_lstar_odd needs a monic polynomial")
-    cs = list(lstar_odd.coeffs)
-    return RealPolynomial(_k_odd_from_lstar(cs, cs[-1]))
+    cs = list(lstar.coeffs)
+    return RealPolynomial(_k_lists_from_lstar(cs, cs[-1]))
 
 
 def _forward_lists(a, b, one):

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geronimo_case import RealPolynomial, gc_forward, k_from_lstar, k_from_lstar_odd
+from .geronimo_case import RealPolynomial, gc_forward, k_from_lstar
 from .jacobi import JacobiCoefficients
 from .spectra import polynomial_roots
 
@@ -180,7 +180,7 @@ def _even_step_map(v: np.ndarray) -> np.ndarray:
     """(u of L*_{2k+1}, a_{k+1}) -> u of L*_{2k+2}, all descending."""
     lstar = _poly_from_descending(v[:-1])
     ak = float(v[-1])
-    kpoly = k_from_lstar_odd(lstar)
+    kpoly = k_from_lstar(lstar)
     out = [0.0] + list(lstar.coeffs)
     c = ak * ak - 1.0
     for i, kc in enumerate(kpoly.coeffs):

@@ -7,9 +7,12 @@ force the zero set to be closed under conjugation, and the admissible
 configurations satisfy interval parity constraints on the real line
 (encoded in :func:`is_in_S`).
 
-The root finder is an Aberth-Ehrlich simultaneous iteration with Newton
-polishing and an explicit residual certificate; a companion eigenvalue
-solver fallback handles the rare stagnating cluster.
+Roots are the eigenvalues of the monic companion matrix, which is
+backward stable (Edelman & Murakami, Math. Comp. 64, 1995), after exact
+origin zeros are stripped; every root then passes a residual certificate
+or RootFindingError is raised.  :func:`resolve` is the single path from
+roots to a verdict: canonicalize, classify, check the point count, and
+test admissibility.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import numpy as np
 
 from .geronimo_case import RealPolynomial
 
-ABERTH_TOL = 1e-13
-ABERTH_MAX_ITER = 500
 RESIDUAL_RTOL = 1e-9
 ORIGIN_RADIUS = 1e-10
 REALNESS_TOL = 1e-8
@@ -34,7 +35,7 @@ RESONANCE = "resonance"
 
 
 class RootFindingError(RuntimeError):
-    """Simultaneous iteration failed to certify all roots."""
+    """The computed roots failed the residual certificate."""
 
 
 class ConjugationError(ValueError):
@@ -46,50 +47,16 @@ def _canon_key(z: complex):
 
 
 def _poly_eval_many(coeffs, z):
-    """Evaluate polynomial (ascending coeffs) and derivative at points z."""
+    """Evaluate a polynomial (ascending coeffs) at points z."""
     p = np.zeros_like(z)
-    dp = np.zeros_like(z)
     for c in reversed(coeffs):
-        dp = dp * z + p
         p = p * z + c
-    return p, dp
-
-
-def _aberth(coeffs: list[float]) -> np.ndarray:
-    """All roots of a monic polynomial given by ascending coefficients."""
-    deg = len(coeffs) - 1
-    radius = 1.0 + abs(coeffs[-2])
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.5) / deg + 0.367
-    z = radius * np.exp(1j * angles)
-    for _ in range(ABERTH_MAX_ITER):
-        p, dp = _poly_eval_many(coeffs, z)
-        dead = np.abs(dp) < 1e-300
-        if np.any(dead):
-            z = np.where(dead, z * (1.0 + 1e-8) + 1e-8, z)
-            continue
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        s = (1.0 / diff).sum(axis=1) - 1.0
-        denom = 1.0 - w * s
-        small = np.abs(denom) < 1e-12
-        corr = np.where(small, w, w / np.where(small, 1.0, denom))
-        z = z - corr
-        if np.max(np.abs(corr) / np.maximum(1.0, np.abs(z))) < ABERTH_TOL:
-            break
-    else:
-        raise RootFindingError(f"no convergence after {ABERTH_MAX_ITER} iterations")
-    # two Newton sweeps sharpen roots that the collective step left behind
-    for _ in range(2):
-        p, dp = _poly_eval_many(coeffs, z)
-        safe = np.abs(dp) > 1e-300
-        z = np.where(safe, z - p / np.where(safe, dp, 1.0), z)
-    return z
+    return p
 
 
 def _residuals_ok(coeffs, roots) -> bool:
     scale = max(abs(c) for c in coeffs)
-    p, _ = _poly_eval_many(coeffs, np.asarray(roots, dtype=complex))
+    p = _poly_eval_many(coeffs, roots)
     bound = RESIDUAL_RTOL * scale * np.maximum(1.0, np.abs(roots)) ** (len(coeffs) - 1)
     return bool(np.all(np.abs(p) <= bound))
 
@@ -98,8 +65,8 @@ def polynomial_roots(p: RealPolynomial) -> np.ndarray:
     """All complex roots of p with multiplicity, certified by residual.
 
     Exact zero trailing structure (roots at the origin) is stripped before
-    iteration and re-appended, so degenerate ladder polynomials like pure
-    powers of z are handled exactly.
+    the eigenvalue solve and re-appended, so degenerate ladder polynomials
+    like pure powers of z are handled exactly.
     """
     coeffs = [float(c) for c in p.coeffs]
     if len(coeffs) - 1 < 1:
@@ -109,33 +76,12 @@ def polynomial_roots(p: RealPolynomial) -> np.ndarray:
         coeffs.pop(0)
         n_origin += 1
     deg = len(coeffs) - 1
-    if deg == 0:
-        roots = np.zeros(0, dtype=complex)
-    elif deg == 1:
-        roots = np.array([-coeffs[0] / coeffs[1]], dtype=complex)
-    elif deg == 2:
-        c, b, a = coeffs
-        sq = cmath.sqrt(complex(b * b - 4.0 * a * c))
-        q = -0.5 * (b + sq) if b >= 0 else -0.5 * (b - sq)
-        if q == 0:
-            roots = np.array([0.0j, 0.0j])
-        else:
-            roots = np.array([q / a, c / q], dtype=complex)
-    else:
-        top = coeffs[-1]
-        monic = [x / top for x in coeffs]
-        try:
-            roots = _aberth(monic)
-            ok = _residuals_ok(coeffs, roots)
-        except RootFindingError:
-            ok = False
-            roots = None
-        if not ok:
-            roots = np.roots(coeffs[::-1])
-            if not _residuals_ok(coeffs, roots):
-                raise RootFindingError(
-                    f"root residuals exceed tolerance for degree {deg} input"
-                )
+    # monic companion matrix; the first-row slice is empty when only origin zeros remain
+    companion = np.eye(deg, k=-1)
+    companion[:1] = -np.array(coeffs[-2::-1]) / coeffs[-1]
+    roots = np.linalg.eigvals(companion).astype(complex)
+    if not _residuals_ok(coeffs, roots):
+        raise RootFindingError(f"root residuals exceed tolerance for degree {deg} input")
     out = np.concatenate([roots, np.zeros(n_origin, dtype=complex)])
     return np.array(sorted(out, key=_canon_key))
 
@@ -315,3 +261,17 @@ def is_in_S(k: int, config: SpectrumConfiguration, tol: float = REALNESS_TOL) ->
     if hit is not None:
         return SMembership(False, "iv." + hit[0], hit[1])
     return SMembership(True, None, "all clauses satisfied")
+
+
+def resolve(roots, k: int) -> tuple[SpectrumConfiguration, SMembership]:
+    """Labelled configuration of a root multiset and its admissibility verdict.
+
+    k is the expected number of points after origin zeros are dropped: the
+    perturbation order of the coefficients (jacobi.perturbation_order),
+    2n generically and 2n - 1 when kappa = 1.  A different count is
+    reported as clause "count" instead of raised.
+    """
+    config = classify(canonicalize_conjugates(roots))
+    if config.count != k:
+        return config, SMembership(False, "count", f"{config.count} points, expected {k}")
+    return config, is_in_S(k, config)

@@ -5,8 +5,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from openrmt import DensityParams, KappaDistribution, log_density_random_kappa
+from openrmt import DensityParams, KappaDistribution, cli, log_density_random_kappa, spectra
 from openrmt.spectra import canonicalize_conjugates, classify
 
 SEED = "4242"
@@ -54,6 +55,39 @@ def test_seed_env_variable_is_the_default():
     assert via_env.stdout == via_flag.stdout
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_sample_at_unit_coupling_is_admissible(capsys, n):
+    argv = ["sample", "--n", str(n), "--kappa", "point:1", "--trials", "40", "--seed", SEED]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr()
+    records = [json.loads(line) for line in out.out.splitlines()]
+    assert len(records) == 40
+    for rec in records:
+        assert rec["in_S"] is True and rec["clause"] is None
+        assert rec["kappa_check_residual"] <= 1e-9
+        assert len(rec["zeros"]) == 2 * n - 1  # the origin zero is dropped
+    assert out.err == ""
+
+
+def test_sample_reports_rejections_on_stderr(capsys, monkeypatch):
+    argv = ["sample", "--n", "2", "--trials", "5", "--seed", SEED]
+    assert cli.main(argv) == 0
+    clean = capsys.readouterr().out.splitlines()
+    real, calls = spectra.is_in_S, []
+
+    def first_call_fails(k, config):
+        calls.append(k)
+        return spectra.SMembership(False, "ii", "forced") if len(calls) == 1 else real(k, config)
+
+    monkeypatch.setattr(spectra, "is_in_S", first_call_fails)
+    assert cli.main(argv) == 0
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert json.loads(lines[0])["clause"] == "ii"
+    assert lines[1:] == clean[1:]
+    assert out.err.splitlines() == ["warning: 1 of 5 records not in S (ii: 1)"]
+
+
 def test_sample_csv_projection(tmp_path):
     csv_path = tmp_path / "zeros.csv"
     proc = run_cli(
@@ -75,6 +109,14 @@ def test_spectrum_fixture():
     assert np.allclose(doc["eigenvalues"], [-2.5, 4.25])
     labels = [z[2] for z in doc["zeros"]]
     assert labels == ["eigenvalue", "eigenvalue"]
+
+
+def test_spectrum_with_trivial_top_level_is_admissible(capsys):
+    # a_2 = 1, b_2 = 0: L*_4 = z^2 L*_2, two origin zeros and two resonances
+    assert cli.main(["spectrum", "--a", "0.5,1", "--b", "0.3,0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["in_S"] is True and doc["clause"] is None
+    assert [label for _, _, label in doc["zeros"]] == ["resonance", "resonance"]
 
 
 def test_spectrum_reads_json_from_stdin():

@@ -228,6 +228,12 @@ def test_mc_compare_small_run():
     assert stats["bins_scored"] > 0
 
 
+def test_membership_at_unit_coupling_passes():
+    report = membership_suite(60, SEED, kappa_dist=KappaDistribution("point", (1.0,)))
+    assert report.passed
+    assert report.statistics["max_kappa_residual"] <= 1e-9
+
+
 def test_reports_are_json_serializable_and_deterministic():
     a = membership_suite(40, SEED, betas=(2.0,), max_n=3)
     b = membership_suite(40, SEED, betas=(2.0,), max_n=3)

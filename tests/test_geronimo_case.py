@@ -11,7 +11,6 @@ from openrmt import (
     gc_forward,
     gc_inverse,
     k_from_lstar,
-    k_from_lstar_odd,
     reversal,
 )
 
@@ -87,7 +86,7 @@ def test_companion_recovery_from_main_sequence():
             even = k_from_lstar(seq.lstar[2 * k])
             assert np.allclose(even.coeffs, seq.k[2 * k].coeffs, rtol=1e-9, atol=1e-9)
         for k in range(n):
-            odd = k_from_lstar_odd(seq.lstar[2 * k + 1])
+            odd = k_from_lstar(seq.lstar[2 * k + 1])
             assert np.allclose(odd.coeffs, seq.k[2 * k + 1].coeffs, rtol=1e-9, atol=1e-9)
 
 

@@ -16,6 +16,7 @@ from openrmt import (
     is_in_S,
     joukowsky,
     polynomial_roots,
+    resolve,
 )
 
 SEED = 161803
@@ -156,6 +157,15 @@ def test_membership_parity_inside_the_leading_gap():
     assert verdict.clause == "iii.a"
     # restoring the pair parity makes the set admissible again
     assert is_in_S(4, _config(-0.5, 0.75, 0.8, 1.4))
+
+
+def test_resolve_checks_the_count_after_origin_drops():
+    roots = np.array([0.0, -0.5, 0.5], dtype=complex)
+    config, verdict = resolve(roots, 2)
+    assert verdict and config.origin_drops == 1
+    assert config.labels == (RESONANCE, RESONANCE)
+    config, verdict = resolve(roots, 3)
+    assert not verdict and verdict.clause == "count"
 
 
 def test_membership_counts_must_match():
