@@ -74,7 +74,10 @@ def _json_safe(obj):
 
 
 def _dump(doc) -> str:
-    return json.dumps(_json_safe(doc), sort_keys=True)
+    try:
+        return json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite float somewhere: write it as null
+        return json.dumps(_json_safe(doc), sort_keys=True)
 
 
 @contextlib.contextmanager

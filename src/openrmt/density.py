@@ -183,15 +183,26 @@ def _shared_log_factors(z: np.ndarray, beta: float, n: int, gamma: float):
     return log_sum, boundary
 
 
+def _real_products(points: np.ndarray) -> np.ndarray:
+    """prod_j z_j of each stacked configuration (T, K), NaN slots skipped.
+
+    Each conjugate pair contributes |z|^2 and each real point its value,
+    multiplied in point order, so every product is exactly real.
+    """
+    factors = np.where(
+        points.imag > 0,
+        points.real * points.real + points.imag * points.imag,
+        np.where(points.imag == 0, points.real, 1.0),
+    )
+    out = np.ones(len(points))
+    for column in factors.T:
+        out = out * column
+    return out
+
+
 def _real_product(config: SpectrumConfiguration) -> float:
     """prod_j z_j computed pairwise so the result is exactly real."""
-    out = 1.0
-    for z in config.points:
-        if z.imag > 0:
-            out *= z.real * z.real + z.imag * z.imag
-        elif z.imag == 0:
-            out *= z.real
-    return out
+    return float(_real_products(np.array(config.points, dtype=complex).reshape(1, -1))[0])
 
 
 def log_density_random_kappa(

@@ -192,6 +192,10 @@ def chi_sample(stream: RandomStream, dof: float, scale: float = 1.0, size: int |
 
 
 def sample_kappa(dist: KappaDistribution, stream: RandomStream) -> float:
+    return _draw_kappa(dist, stream)
+
+
+def _draw_kappa(dist: KappaDistribution, stream: RandomStream) -> float:
     if dist.kind == "point":
         return dist.params[0]
     if dist.kind == "uniform":
@@ -208,6 +212,11 @@ def sample_de_tridiagonal(params: EnsembleParams, stream: RandomStream) -> Tridi
     (1-based, from the top) is chi with beta*(n-j) degrees of freedom
     divided by sqrt(beta*n).  Draw order is s then t, one vector each.
     """
+    s, t = _draw_block(params, stream)
+    return TridiagonalSample(tuple(float(x) for x in s), tuple(float(x) for x in t))
+
+
+def _draw_block(params: EnsembleParams, stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
     beta, n = params.beta, params.n
     s = normal_sample(stream, 0.0, 2.0 / (beta * n), n)
     if n > 1:
@@ -216,7 +225,23 @@ def sample_de_tridiagonal(params: EnsembleParams, stream: RandomStream) -> Tridi
         t = np.sqrt(2.0 * g) / math.sqrt(beta * n)
     else:
         t = np.empty(0)
-    return TridiagonalSample(tuple(float(x) for x in s), tuple(float(x) for x in t))
+    return s, t
+
+
+def sample_coupled_trials(params: EnsembleParams, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked draws of one coupled trial per stream: s (T, n), t (T, n - 1), kappa (T,).
+
+    Each stream draws its block as :func:`sample_de_tridiagonal` does and
+    then its coupling as :func:`sample_kappa` does, so row i depends on
+    streams[i] alone and not on how trials are grouped.
+    """
+    s = np.empty((len(streams), params.n))
+    t = np.empty((len(streams), params.n - 1))
+    kappa = np.empty(len(streams))
+    for i, stream in enumerate(streams):
+        s[i], t[i] = _draw_block(params, stream)
+        kappa[i] = _draw_kappa(params.kappa, stream)
+    return s, t, kappa
 
 
 def sample_dense_gaussian(beta: float, n: int, stream: RandomStream) -> np.ndarray:

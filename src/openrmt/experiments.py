@@ -21,18 +21,17 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import stats as spstats
 
-from .density import DensityParams, _real_product, normalization_constants
+from .density import DensityParams, _real_products, normalization_constants
 from .ensembles import (
     EnsembleParams,
     KappaDistribution,
     RandomStream,
     UnsupportedVariantError,
     householder_tridiagonalize,
+    sample_coupled_trials,
     sample_de_tridiagonal,
     sample_dense_gaussian,
-    sample_kappa,
 )
 from .geronimo_case import gc_forward, gc_inverse
 from .identities import (
@@ -47,11 +46,18 @@ from .identities import (
 from .jacobi import (
     JacobiCoefficients,
     TruncatedOperator,
-    assemble_coupled,
-    perturbation_order,
+    coupled_coefficients,
+    perturbation_orders,
     tridiag_eigenvalues,
 )
-from .spectra import polynomial_roots, resolve
+from .spectra import (
+    EIGENVALUE,
+    RESONANCE,
+    ResolvedRows,
+    linearization_zeros,
+    polynomial_roots,
+    resolve_rows,
+)
 
 ALPHA = 0.01
 ROUNDTRIP_PRECISION = 40
@@ -122,44 +128,75 @@ def random_coefficients(stream: RandomStream, n: int, avoid_unit_last_a: bool = 
     return JacobiCoefficients(tuple(float(x) for x in a), tuple(float(x) for x in b))
 
 
-def _pipeline_record(params: EnsembleParams, stream: RandomStream, trial: int) -> dict:
-    """One full sampling trial: block, coupling, recursion, zeros, checks.
+@dataclass(frozen=True)
+class _TrialBatch:
+    """One array-first pass over stacked trials (see :func:`_trial_batch`)."""
 
-    The coupling residual compares kappa with sqrt(1 - prod z_j) over all
-    2n zeros, so any dropped origin zero makes the product 0.
+    s: np.ndarray
+    t: np.ndarray
+    kappa: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    rows: ResolvedRows
+    residual: np.ndarray
+    failures: dict
+
+
+def _trial_batch(params: EnsembleParams, streams: list) -> _TrialBatch:
+    """Block, coupling, coefficients, zeros and verdicts of one trial per stream.
+
+    Every stage runs on the stacked rows: one linearization eigenvalue
+    solve for all zeros, one array pass for all verdicts.  Row i depends
+    on streams[i] alone.  failures maps a row to the first exception of
+    its trial (bad coefficients, failed root certificate, unpaired
+    roots).  The coupling residual compares kappa with sqrt(1 - prod z_j)
+    over all 2n zeros, so any dropped origin zero makes the product 0; it
+    is inf for a row with the wrong point count.
     """
-    sample = sample_de_tridiagonal(params, stream)
-    kappa = sample_kappa(params.kappa, stream)
-    coeffs = assemble_coupled(sample, params.gamma, kappa)
-    roots = polynomial_roots(gc_forward(coeffs).final)
-    config, verdict = resolve(roots, perturbation_order(coeffs))
-    if verdict.clause == "count":
-        residual = math.inf
-    else:
-        prod = 0.0 if config.origin_drops else _real_product(config)
-        residual = abs(kappa - (math.sqrt(1.0 - prod) if prod < 1.0 else math.nan))
-    return {
-        "trial": trial,
-        "s": [float(x) for x in sample.s],
-        "t": [float(x) for x in sample.t],
-        "kappa": float(kappa),
-        "a": [float(x) for x in coeffs.a],
-        "b": [float(x) for x in coeffs.b],
-        "zeros": [[z.real, z.imag, lab] for z, lab in zip(config.points, config.labels)],
-        "in_S": bool(verdict),
-        "clause": verdict.clause,
-        "kappa_check_residual": residual,
-    }
+    s, t, kappa = sample_coupled_trials(params, streams)
+    a, b, failures = coupled_coefficients(s, t, params.gamma, kappa)
+    zeros, root_failures = linearization_zeros(a, b)
+    rows = resolve_rows(zeros, perturbation_orders(a, b))
+    for stage in (root_failures, rows.failures):
+        for i, exc in stage.items():
+            failures.setdefault(i, exc)
+    prod = np.where(rows.origin_drops > 0, 0.0, _real_products(rows.points))
+    residual = np.abs(kappa - np.sqrt(np.where(prod < 1.0, 1.0 - prod, np.nan)))
+    residual[[c == "count" for c in rows.clause]] = math.inf
+    return _TrialBatch(s, t, kappa, a, b, rows, residual, failures)
 
 
 def _pipeline_chunk(args) -> list[dict]:
     params, seed, start, stop = args
+    trials = range(start, stop)
+    batch = _trial_batch(params, [RandomStream(seed).substream(trial) for trial in trials])
+    rows = batch.rows
+    labels = np.where(rows.eigenvalue, EIGENVALUE, RESONANCE)
     out = []
-    for trial in range(start, stop):
-        try:
-            out.append(_pipeline_record(params, RandomStream(seed).substream(trial), trial))
-        except Exception as exc:
+    for i, trial in enumerate(trials):
+        if i in batch.failures:
+            exc = batch.failures[i]
             out.append({"trial": trial, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        kept = ~np.isnan(rows.points[i])
+        zeros = rows.points[i][kept]
+        out.append(
+            {
+                "trial": trial,
+                "s": batch.s[i].tolist(),
+                "t": batch.t[i].tolist(),
+                "kappa": float(batch.kappa[i]),
+                "a": batch.a[i].tolist(),
+                "b": batch.b[i].tolist(),
+                "zeros": [
+                    list(z)
+                    for z in zip(zeros.real.tolist(), zeros.imag.tolist(), labels[i][kept].tolist())
+                ],
+                "in_S": rows.clause[i] is None,
+                "clause": rows.clause[i],
+                "kappa_check_residual": float(batch.residual[i]),
+            }
+        )
     return out
 
 
@@ -200,17 +237,21 @@ def run_resonance_sampling(
 
 def _membership_chunk(args) -> list[tuple]:
     betas, max_n, gamma, dist, seed, start, stop = args
-    rows = []
+    groups: dict[tuple[float, int], list] = {}
     for trial in range(start, stop):
         stream = RandomStream(seed).substream(trial)
-        beta = betas[trial % len(betas)]
         n = int(stream.generator.integers(1, max_n + 1))
-        try:
-            rec = _pipeline_record(EnsembleParams(beta, n, gamma, dist), stream, trial)
-            rows.append((rec["in_S"], rec["kappa_check_residual"], rec["clause"]))
-        except Exception as exc:
-            rows.append((False, math.inf, type(exc).__name__))
-    return rows
+        groups.setdefault((betas[trial % len(betas)], n), []).append((trial, stream))
+    rows = {}
+    for (beta, n), members in groups.items():
+        batch = _trial_batch(EnsembleParams(beta, n, gamma, dist), [stream for _, stream in members])
+        for i, (trial, _) in enumerate(members):
+            if i in batch.failures:
+                rows[trial] = (False, math.inf, type(batch.failures[i]).__name__)
+            else:
+                clause = batch.rows.clause[i]
+                rows[trial] = (clause is None, float(batch.residual[i]), clause)
+    return [rows[trial] for trial in range(start, stop)]
 
 
 def membership_suite(
@@ -381,6 +422,8 @@ def jacobian_suite(trials: int, seed: int, max_n: int = 5) -> ExperimentReport:
 
 def ks_test(samples, cdf) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    from scipy import stats as spstats
+
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 20:
         raise ValueError("need at least 20 samples for a meaningful KS test")
@@ -389,14 +432,17 @@ def ks_test(samples, cdf) -> tuple[float, float]:
 
 
 def _sum_zeros_chunk(args) -> tuple[list[float], float]:
+    """Zero sums by the monomial route: ladder polynomial, then companion roots."""
     params, seed, start, stop = args
+    streams = [RandomStream(seed).substream(trial) for trial in range(start, stop)]
+    s, t, kappa = sample_coupled_trials(params, streams)
+    a, b, failures = coupled_coefficients(s, t, params.gamma, kappa)
+    if failures:
+        raise failures[min(failures)]
     sums = []
     worst_imag = 0.0
-    for trial in range(start, stop):
-        stream = RandomStream(seed).substream(trial)
-        sample = sample_de_tridiagonal(params, stream)
-        kappa = sample_kappa(params.kappa, stream)
-        coeffs = assemble_coupled(sample, params.gamma, kappa)
+    for a_row, b_row in zip(a.tolist(), b.tolist()):
+        coeffs = JacobiCoefficients(tuple(a_row), tuple(b_row))
         total = complex(np.sum(polynomial_roots(gc_forward(coeffs).final)))
         sums.append(total.real)
         worst_imag = max(worst_imag, abs(total.imag))
@@ -413,6 +459,8 @@ def sum_zeros_test(
     2 gamma^2 / beta, independent of n and of the coupling.  One retry on
     a fresh block of substreams is permitted; both p-values are logged.
     """
+    from scipy import stats as spstats
+
     scale = math.sqrt(2.0 * params.gamma**2 / params.beta)
     cdf = spstats.norm(scale=scale).cdf
     notes = []
@@ -507,6 +555,8 @@ def dense_vs_tridiagonal_test(
     comparisons has the stated false-alarm rate; one retry on fresh
     substreams is permitted and logged.
     """
+    from scipy import stats as spstats
+
     if beta not in (1, 2):
         raise UnsupportedVariantError("dense sampling exists only for beta in {1, 2}")
     threshold = alpha / (2 * n - 1)

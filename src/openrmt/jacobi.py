@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .ensembles import TridiagonalSample
 
@@ -59,13 +58,15 @@ def perturbation_order(coeffs: JacobiCoefficients, tol: float = 0.0) -> int:
     operator.  This also equals the number of nonzero roots of the final
     recursion polynomial.
     """
-    a, b = coeffs.a, coeffs.b
-    for j in range(coeffs.n, 0, -1):
-        if abs(a[j - 1] - 1.0) > tol:
-            return 2 * j
-        if abs(b[j - 1]) > tol:
-            return 2 * j - 1
-    return 0
+    return int(perturbation_orders(np.array([coeffs.a]), np.array([coeffs.b]), tol)[0])
+
+
+def perturbation_orders(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    """:func:`perturbation_order` of each row of stacked coefficients (T, n)."""
+    j = np.arange(1, a.shape[1] + 1)
+    deepest_a = np.where(np.abs(a - 1.0) > tol, 2 * j, 0).max(axis=1)
+    deepest_b = np.where(np.abs(b) > tol, 2 * j - 1, 0).max(axis=1)
+    return np.maximum(deepest_a, deepest_b)
 
 
 def assemble_coupled(
@@ -76,15 +77,42 @@ def assemble_coupled(
     Order reversal puts the block's last row next to the lead, so the
     coupling entry kappa lands at position a_n.
     """
+    a, b, failures = coupled_coefficients(
+        np.array([sample.s], dtype=float),
+        np.array([sample.t], dtype=float).reshape(1, -1),
+        gamma,
+        np.array([kappa], dtype=float),
+    )
+    if failures:
+        raise failures[0]
+    return JacobiCoefficients(tuple(a[0].tolist()), tuple(b[0].tolist()))
+
+
+def coupled_coefficients(
+    s: np.ndarray, t: np.ndarray, gamma: float, kappa: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[int, ValueError]]:
+    """Stacked coefficients a, b (T, n) of the coupled operators of stacked blocks.
+
+    Row i is the coupled operator of the block with diagonal s[i] and
+    off-diagonal t[i] at coupling kappa[i].  The checks of
+    TridiagonalSample, assemble_coupled and JacobiCoefficients run on the
+    arrays; a row that fails one maps to the ValueError the single-block
+    route raises, in failures.
+    """
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    s, t = sample.s, sample.t
-    ag = abs(gamma)
-    a = tuple(ag * x for x in reversed(t)) + (kappa,)
-    b = tuple(gamma * x for x in reversed(s))
-    return JacobiCoefficients(a, b)
+    a = np.concatenate([abs(gamma) * t[:, ::-1], kappa[:, None]], axis=1)
+    b = gamma * s[:, ::-1]
+    failures: dict[int, ValueError] = {}
+    for i in np.flatnonzero((t < 0).any(axis=1)):
+        failures[i] = ValueError("off-diagonal entries must be nonnegative")
+    for i in np.flatnonzero(~(kappa > 0)):
+        failures.setdefault(i, ValueError("kappa must be positive"))
+    bad = ~(a > 0)
+    for i in np.flatnonzero(bad.any(axis=1)):
+        j = int(np.argmax(bad[i]))
+        failures.setdefault(i, ValueError(f"a[{j}] = {float(a[i, j])} must be positive"))
+    return a, b, failures
 
 
 @dataclass(frozen=True)
@@ -113,6 +141,8 @@ def truncate(coeffs: JacobiCoefficients, size: int) -> TruncatedOperator:
 
 def tridiag_eigenvalues(op: TruncatedOperator) -> np.ndarray:
     """All eigenvalues of the finite section, ascending."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
     return eigvalsh_tridiagonal(op.diag, op.offdiag)
 
 
@@ -120,6 +150,8 @@ def eigenvalues_in_range(op: TruncatedOperator, lo: float, hi: float) -> np.ndar
     """Eigenvalues in (lo, hi], by Sturm bisection; cheap for narrow windows."""
     if not lo < hi:
         raise ValueError("need lo < hi")
+    from scipy.linalg import eigvalsh_tridiagonal
+
     vals = eigvalsh_tridiagonal(
         op.diag, op.offdiag, select="v", select_range=(lo, hi), lapack_driver="stebz"
     )

@@ -1,18 +1,33 @@
 """Zero sets of the recursion polynomials and their spectral meaning.
 
-A zero z of the final ladder polynomial with |z| > 1 corresponds to an
-eigenvalue z + 1/z of the operator outside the band [-2, 2]; zeros in the
-punctured closed unit disk are resonances.  Real-coefficient polynomials
-force the zero set to be closed under conjugation, and the admissible
-configurations satisfy interval parity constraints on the real line
-(encoded in :func:`is_in_S`).
+A zero z of the final ladder polynomial L*_{2n} with |z| > 1 corresponds
+to an eigenvalue z + 1/z of the operator outside the band [-2, 2]; zeros
+in the punctured closed unit disk are resonances.  Real-coefficient
+polynomials force the zero set to be closed under conjugation, and the
+admissible configurations satisfy interval parity constraints on the
+real line (encoded in :func:`is_in_S`).
 
-Roots are the eigenvalues of the monic companion matrix, which is
-backward stable (Edelman & Murakami, Math. Comp. 64, 1995), after exact
-origin zeros are stripped; every root then passes a residual certificate
-or RootFindingError is raised.  :func:`resolve` is the single path from
-roots to a verdict: canonicalize, classify, check the point count, and
-test admissibility.
+Zeros come from one of two eigenvalue problems, each followed by a
+residual certificate in L*_{2n} (RootFindingError when it fails):
+
+- :func:`linearization_zeros` solves a whole stack of coefficient rows
+  (a, b) at once.  The zeros of L*_{2n} are the eigenvalues of the monic
+  linearization ``[[0, I], [-C, J_n]]`` of the outgoing-wave quadratic
+  eigenproblem det(z^2 - z J_n + C) = 0 (Tisseur & Meerbergen, SIAM Rev.
+  43, 2001), where J_n is the Jacobi block with diagonal b and
+  off-diagonal a_1..a_{n-1} and C = diag(1, ..., 1, 1 - a_n^2).  There
+  are no spurious eigenvalues, and kappa = a_n = 1 gives an exact zero.
+- :func:`polynomial_roots` takes the eigenvalues of the monic companion
+  matrix of one polynomial, which is backward stable (Edelman & Murakami,
+  Math. Comp. 64, 1995), after exact origin zeros are stripped.  It is
+  the independent monomial route.
+
+Verdicts are array operations over stacked root sets (T, K):
+:func:`resolve_rows` canonicalizes conjugate pairs, drops origin zeros,
+labels, checks the point count and tests admissibility for every row at
+once, with NaN marking the unused slots of each row.
+:func:`canonicalize_conjugates`, :func:`classify`, :func:`is_in_S` and
+:func:`resolve` are one-row calls of the same code.
 """
 
 from __future__ import annotations
@@ -23,12 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geronimo_case import RealPolynomial
+from .geronimo_case import RealPolynomial, _forward_lists
 
 RESIDUAL_RTOL = 1e-9
 ORIGIN_RADIUS = 1e-10
 REALNESS_TOL = 1e-8
 MULTIPLICITY_RADIUS = 1e-7
+PAIRING_RTOL = 1e-6
+# fills the unused slots of a row; sorts after every point
+EMPTY = complex(np.nan, np.nan)
 
 EIGENVALUE = "eigenvalue"
 RESONANCE = "resonance"
@@ -46,19 +64,14 @@ def _canon_key(z: complex):
     return (z.real, z.imag)
 
 
-def _poly_eval_many(coeffs, z):
-    """Evaluate a polynomial (ascending coeffs) at points z."""
-    p = np.zeros_like(z)
-    for c in reversed(coeffs):
-        p = p * z + c
-    return p
-
-
-def _residuals_ok(coeffs, roots) -> bool:
-    scale = max(abs(c) for c in coeffs)
-    p = _poly_eval_many(coeffs, roots)
-    bound = RESIDUAL_RTOL * scale * np.maximum(1.0, np.abs(roots)) ** (len(coeffs) - 1)
-    return bool(np.all(np.abs(p) <= bound))
+def _residuals_ok(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Residual certificate of each row: ascending coeffs (T, d + 1), roots (T, d)."""
+    scale = np.max(np.abs(coeffs), axis=1, keepdims=True)
+    p = np.zeros_like(roots)
+    for j in range(coeffs.shape[1] - 1, -1, -1):
+        p = p * roots + coeffs[:, j : j + 1]
+    bound = RESIDUAL_RTOL * scale * np.maximum(1.0, np.abs(roots)) ** (coeffs.shape[1] - 1)
+    return np.all(np.abs(p) <= bound, axis=1)
 
 
 def polynomial_roots(p: RealPolynomial) -> np.ndarray:
@@ -80,10 +93,53 @@ def polynomial_roots(p: RealPolynomial) -> np.ndarray:
     companion = np.eye(deg, k=-1)
     companion[:1] = -np.array(coeffs[-2::-1]) / coeffs[-1]
     roots = np.linalg.eigvals(companion).astype(complex)
-    if not _residuals_ok(coeffs, roots):
+    if not _residuals_ok(np.array([coeffs]), roots[None])[0]:
         raise RootFindingError(f"root residuals exceed tolerance for degree {deg} input")
     out = np.concatenate([roots, np.zeros(n_origin, dtype=complex)])
     return np.array(sorted(out, key=_canon_key))
+
+
+def linearization_zeros(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Certified zeros of L*_{2n} for stacked coefficient rows a, b (T, n).
+
+    Returns the zeros (T, 2n), in no particular order, and failures: row
+    -> the exception of that row (LinAlgError for a non-finite or
+    non-convergent matrix, RootFindingError for a failed residual in the
+    ladder polynomial).  Each row is solved and certified on its own, so
+    stacking never changes a row's zeros.
+    """
+    rows, n = a.shape
+    idx = np.arange(n)
+    mat = np.zeros((rows, 2 * n, 2 * n))
+    mat[:, idx, n + idx] = 1.0
+    mat[:, n + idx, idx] = -1.0
+    mat[:, 2 * n - 1, n - 1] = a[:, -1] * a[:, -1] - 1.0
+    mat[:, n + idx, n + idx] = b
+    mat[:, n + idx[1:], n + idx[:-1]] = a[:, :-1]
+    mat[:, n + idx[:-1], n + idx[1:]] = a[:, :-1]
+    failures: dict[int, Exception] = {}
+    finite = np.isfinite(mat).all(axis=(1, 2))
+    for i in np.flatnonzero(~finite):
+        failures[i] = np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    mat[~finite] = 0.0
+    try:
+        zeros = np.linalg.eigvals(mat).astype(complex)
+    except np.linalg.LinAlgError:  # some row did not converge: solve the rows one by one
+        zeros = np.zeros((rows, 2 * n), dtype=complex)
+        for i in range(rows):
+            try:
+                zeros[i] = np.linalg.eigvals(mat[i])
+            except np.linalg.LinAlgError as exc:
+                failures.setdefault(i, exc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lstar = _forward_lists(list(a.T), list(b.T), 1.0)[-1][0]
+        coeffs = np.column_stack([np.broadcast_to(c, (rows,)) for c in lstar])
+        certified = _residuals_ok(coeffs, zeros)
+    for i in np.flatnonzero(~certified):
+        failures.setdefault(
+            i, RootFindingError(f"root residuals exceed tolerance for degree {2 * n} input")
+        )
+    return zeros, failures
 
 
 @dataclass(frozen=True)
@@ -125,6 +181,42 @@ class SpectrumConfiguration:
         return tuple(z.real for z in self.points if z.imag == 0)
 
 
+def _labels(points: np.ndarray) -> tuple[str, ...]:
+    return tuple(EIGENVALUE if e else RESONANCE for e in (np.abs(points) > 1.0).tolist())
+
+
+def _canonical_rows(roots: np.ndarray, tol: float):
+    """Canonical configurations of stacked root sets (T, K).
+
+    Returns (points, origin_drops, failures).  Row i holds its kept points
+    sorted by (re, im), then EMPTY slots.  Roots within ORIGIN_RADIUS of
+    the origin are dropped and counted; near-real roots are snapped onto
+    the axis; upper and lower half-plane roots are matched in sorted order
+    into exact conjugate pairs (the mean of the two).  A row whose
+    non-real roots do not pair maps to a ConjugationError in failures.
+    """
+    z = np.asarray(roots, dtype=complex)
+    mod = np.abs(z)
+    kept = mod >= ORIGIN_RADIUS
+    real = kept & (np.abs(z.imag) <= tol * np.maximum(1.0, mod))
+    upper = kept & ~real & (z.imag > 0)
+    lower = kept & ~real & ~(z.imag > 0)
+    uppers = np.sort(np.where(upper, z, EMPTY), axis=1)
+    partners = np.sort(np.where(lower, z.conj(), EMPTY), axis=1)
+    unpaired = np.abs(uppers - partners) > PAIRING_RTOL * np.maximum(1.0, np.abs(uppers))
+    failures: dict[int, Exception] = {}
+    n_up, n_low = upper.sum(axis=1), lower.sum(axis=1)
+    for i in np.flatnonzero(n_up != n_low):
+        failures[i] = ConjugationError(f"{n_up[i]} upper vs {n_low[i]} lower half-plane roots")
+    for i in np.flatnonzero(unpaired.any(axis=1)):
+        u = complex(uppers[i, np.argmax(unpaired[i])])
+        failures.setdefault(i, ConjugationError(f"no conjugate partner for root {u}"))
+    mean = 0.5 * (uppers + partners)
+    points = np.concatenate([np.where(real, z.real + 0j, EMPTY), mean, mean.conj()], axis=1)
+    points = np.sort(points, axis=1)[:, : z.shape[1]]
+    return points, (mod < ORIGIN_RADIUS).sum(axis=1), failures
+
+
 def canonicalize_conjugates(roots, tol: float = REALNESS_TOL) -> SpectrumConfiguration:
     """Snap near-real roots, pair the rest into exact conjugates.
 
@@ -132,41 +224,16 @@ def canonicalize_conjugates(roots, tol: float = REALNESS_TOL) -> SpectrumConfigu
     kept on the configuration); a non-real root with no partner raises
     ConjugationError since roots of a real polynomial cannot be lopsided.
     """
-    pts = [complex(z) for z in roots]
-    origin_drops = sum(1 for z in pts if abs(z) < ORIGIN_RADIUS)
-    pts = [z for z in pts if abs(z) >= ORIGIN_RADIUS]
-    reals: list[complex] = []
-    uppers: list[complex] = []
-    lowers: list[complex] = []
-    for z in pts:
-        if abs(z.imag) <= tol * max(1.0, abs(z)):
-            reals.append(complex(z.real, 0.0))
-        elif z.imag > 0:
-            uppers.append(z)
-        else:
-            lowers.append(z)
-    if len(uppers) != len(lowers):
-        raise ConjugationError(
-            f"{len(uppers)} upper vs {len(lowers)} lower half-plane roots"
-        )
-    paired: list[complex] = []
-    remaining = list(lowers)
-    for u in sorted(uppers, key=_canon_key):
-        gaps = [abs(u.conjugate() - l) for l in remaining]
-        i = int(np.argmin(gaps))
-        if gaps[i] > 1e-6 * max(1.0, abs(u)):
-            raise ConjugationError(f"no conjugate partner for root {u}")
-        l = remaining.pop(i)
-        mean = 0.5 * (u + l.conjugate())
-        paired.extend([mean, mean.conjugate()])
-    points = tuple(sorted(reals + paired, key=_canon_key))
-    return SpectrumConfiguration(points, origin_drops=origin_drops)
+    points, drops, failures = _canonical_rows(np.asarray(roots, dtype=complex).reshape(1, -1), tol)
+    if failures:
+        raise failures[0]
+    kept = points[0][~np.isnan(points[0])]
+    return SpectrumConfiguration(tuple(complex(z) for z in kept), origin_drops=int(drops[0]))
 
 
 def classify(config: SpectrumConfiguration) -> SpectrumConfiguration:
     """Label each point: outside the closed unit disk means eigenvalue."""
-    labels = tuple(EIGENVALUE if abs(z) > 1 else RESONANCE for z in config.points)
-    return dataclasses.replace(config, labels=labels)
+    return dataclasses.replace(config, labels=_labels(np.array(config.points, dtype=complex)))
 
 
 def joukowsky(z: complex) -> complex:
@@ -197,33 +264,89 @@ class SMembership:
         return self.ok
 
 
-def _positive_side_violation(xs: list[float], reals: list[float], tol: float):
-    """Parity clauses for outside points on the positive axis.
+def _side_checks(xs: np.ndarray, reals: np.ndarray, tol: float) -> list:
+    """Parity clauses c, a, b for the outside points on the positive axis.
 
-    xs: sorted outside points > 1; reals: all real points of the
-    configuration (any sign), with multiplicity.  Between consecutive
-    inverted positions 1/x the count must be odd, on (1/x_1, 1] even,
-    and no point may sit exactly on an inverted position.
+    xs (T, K): each row's outside points > 1, ascending, NaN after them;
+    reals (T, K): each row's real points (any sign), NaN elsewhere.  No
+    real point may sit on an inverted position 1/x_m (c), the count on
+    (1/x_1, 1] must be even (a), and the count between consecutive
+    inverted positions odd (b).  Returns (clause, rows failing it, detail
+    of row i) for each clause in order.
     """
-    if not xs:
-        return None
-    inv = [1.0 / x for x in xs]
-    for m, pos in enumerate(inv, start=1):
-        hits = [r for r in reals if abs(r - pos) <= tol]
-        if hits:
-            return ("c", f"point {hits[0]:.6g} coincides with 1/x_{m} = {pos:.6g}")
-    count = sum(1 for r in reals if inv[0] < r <= 1.0)
-    if count % 2:
-        return ("a", f"{count} points on (1/x_1, 1] = ({inv[0]:.6g}, 1], want even")
-    for m in range(len(xs) - 1):
-        count = sum(1 for r in reals if inv[m + 1] < r < inv[m])
-        if count % 2 == 0:
-            return (
-                "b",
-                f"{count} points on (1/x_{m + 2}, 1/x_{m + 1}) = "
-                f"({inv[m + 1]:.6g}, {inv[m]:.6g}), want odd",
-            )
-    return None
+    inv = 1.0 / xs
+    near = np.abs(reals[:, None, :] - inv[:, :, None]) <= tol
+    coincide = near.any(axis=2)
+    lead = np.sum((reals > inv[:, :1]) & (reals <= 1.0), axis=1)
+    inner = reals[:, None, :]
+    between = np.sum((inner > inv[:, 1:, None]) & (inner < inv[:, :-1, None]), axis=2)
+    even_gap = ~np.isnan(inv[:, 1:]) & (between % 2 == 0)
+
+    def hit(i):
+        m = int(np.argmax(coincide[i]))
+        r = reals[i, np.argmax(near[i, m])]
+        return f"point {r:.6g} coincides with 1/x_{m + 1} = {inv[i, m]:.6g}"
+
+    def odd_lead(i):
+        return f"{lead[i]} points on (1/x_1, 1] = ({inv[i, 0]:.6g}, 1], want even"
+
+    def even_between(i):
+        m = int(np.argmax(even_gap[i]))
+        return (
+            f"{between[i, m]} points on (1/x_{m + 2}, 1/x_{m + 1}) = "
+            f"({inv[i, m + 1]:.6g}, {inv[i, m]:.6g}), want odd"
+        )
+
+    return [
+        ("c", coincide.any(axis=1), hit),
+        ("a", lead % 2 == 1, odd_lead),
+        ("b", even_gap.any(axis=1), even_between),
+    ]
+
+
+def _clause_rows(points: np.ndarray, tol: float) -> tuple[list, list]:
+    """First violated admissibility clause of each stacked configuration, and its detail.
+
+    points (T, K): each row's points sorted by (re, im), then NaN slots.
+    The clause is None for an admissible row.  Clauses, in order: (i)
+    conjugation closure, (ii) points outside the closed unit disk are
+    real and simple, (iii) interval parity for the positive outside
+    points, (iv) the mirrored conditions for negative outside points.
+    """
+    valid = ~np.isnan(points)
+    mod = np.abs(points)
+    scale = tol * np.maximum(1.0, mod)
+    conj = np.sort(np.where(valid, points.conj(), EMPTY), axis=1)
+    unclosed = valid & (np.abs(conj - points) > scale)
+    nonreal = np.abs(points.imag) > scale
+    outside = valid & (mod > 1.0)
+    outside_reals = np.sort(np.where(outside & ~nonreal, points.real, np.nan), axis=1)
+    multiple = np.diff(outside_reals, axis=1) <= MULTIPLICITY_RADIUS
+    reals = np.where(valid & ~nonreal, points.real, np.nan)
+    xs_pos = np.sort(np.where(outside_reals > 0, outside_reals, np.nan), axis=1)
+    xs_neg = np.sort(np.where(outside_reals < 0, -outside_reals, np.nan), axis=1)
+
+    def not_real(i):
+        z = complex(points[i, np.argmax(outside[i] & nonreal[i])])
+        return f"outside point {z:.6g} is not real"
+
+    def repeated(i):
+        return f"outside point {outside_reals[i, np.argmax(multiple[i])]:.6g} is multiple"
+
+    checks = [
+        ("i", unclosed.any(axis=1), lambda i: "multiset is not closed under conjugation"),
+        ("ii", (outside & nonreal).any(axis=1), not_real),
+        ("ii", multiple.any(axis=1), repeated),
+    ]
+    checks += [("iii." + c, m, d) for c, m, d in _side_checks(xs_pos, reals, tol)]
+    checks += [("iv." + c, m, d) for c, m, d in _side_checks(xs_neg, -reals, tol)]
+    clauses: list = [None] * len(points)
+    details = ["all clauses satisfied"] * len(points)
+    for clause, failing, detail in checks:
+        for i in np.flatnonzero(failing):
+            if clauses[i] is None:
+                clauses[i], details[i] = clause, detail(i)
+    return clauses, details
 
 
 def is_in_S(k: int, config: SpectrumConfiguration, tol: float = REALNESS_TOL) -> SMembership:
@@ -236,31 +359,56 @@ def is_in_S(k: int, config: SpectrumConfiguration, tol: float = REALNESS_TOL) ->
     """
     if config.count != k:
         raise ValueError(f"configuration has {config.count} points, expected {k}")
-    pts = list(config.points)
-    conj = sorted((z.conjugate() for z in pts), key=_canon_key)
-    gaps = [abs(x - y) for x, y in zip(conj, pts)]
-    if any(g > tol * max(1.0, abs(x)) for g, x in zip(gaps, pts)):
-        return SMembership(False, "i", "multiset is not closed under conjugation")
+    clauses, details = _clause_rows(np.array(config.points, dtype=complex).reshape(1, -1), tol)
+    return SMembership(clauses[0] is None, clauses[0], details[0])
 
-    outside = [z for z in pts if abs(z) > 1.0]
-    for z in outside:
-        if abs(z.imag) > tol * max(1.0, abs(z)):
-            return SMembership(False, "ii", f"outside point {z:.6g} is not real")
-    outside_reals = sorted(z.real for z in outside)
-    for x, y in zip(outside_reals, outside_reals[1:]):
-        if abs(x - y) <= MULTIPLICITY_RADIUS:
-            return SMembership(False, "ii", f"outside point {x:.6g} is multiple")
 
-    reals = [z.real for z in pts if abs(z.imag) <= tol * max(1.0, abs(z))]
-    xs_pos = sorted(x for x in outside_reals if x > 0)
-    xs_neg = sorted(-x for x in outside_reals if x < 0)
-    hit = _positive_side_violation(xs_pos, reals, tol)
-    if hit is not None:
-        return SMembership(False, "iii." + hit[0], hit[1])
-    hit = _positive_side_violation(xs_neg, [-r for r in reals], tol)
-    if hit is not None:
-        return SMembership(False, "iv." + hit[0], hit[1])
-    return SMembership(True, None, "all clauses satisfied")
+@dataclass(frozen=True)
+class ResolvedRows:
+    """Labelled configurations and verdicts of stacked root sets (see :func:`resolve_rows`).
+
+    points (T, K) holds each row's kept points sorted by (re, im), then
+    NaN slots; clause[i] is the first violated clause of row i (None when
+    it is in S, "count" for a wrong point count); failures maps a row
+    whose roots do not pair to its ConjugationError.
+    """
+
+    points: np.ndarray
+    origin_drops: np.ndarray
+    clause: list
+    detail: list
+    failures: dict
+
+    @property
+    def eigenvalue(self) -> np.ndarray:
+        return np.abs(self.points) > 1.0
+
+    def configuration(self, i: int) -> SpectrumConfiguration:
+        kept = self.points[i][~np.isnan(self.points[i])]
+        return SpectrumConfiguration(
+            tuple(complex(z) for z in kept), _labels(kept), int(self.origin_drops[i])
+        )
+
+    def membership(self, i: int) -> SMembership:
+        return SMembership(self.clause[i] is None, self.clause[i], self.detail[i])
+
+
+def resolve_rows(roots: np.ndarray, k, tol: float = REALNESS_TOL) -> ResolvedRows:
+    """Canonical, labelled configurations of stacked root sets (T, K) and their verdicts.
+
+    k (an int or one per row) is the expected number of points after
+    origin zeros are dropped: the perturbation order of the coefficients
+    (jacobi.perturbation_orders), 2n generically and 2n - 1 when kappa =
+    1.  A different count is reported as clause "count".  Every row is
+    judged on its own, so stacking never changes a row's verdict.
+    """
+    points, drops, failures = _canonical_rows(roots, tol)
+    clauses, details = _clause_rows(points, tol)
+    count = (~np.isnan(points)).sum(axis=1)
+    k = np.broadcast_to(k, count.shape)
+    for i in np.flatnonzero(count != k):
+        clauses[i], details[i] = "count", f"{count[i]} points, expected {k[i]}"
+    return ResolvedRows(points, drops, clauses, details, failures)
 
 
 def resolve(roots, k: int) -> tuple[SpectrumConfiguration, SMembership]:
@@ -271,7 +419,7 @@ def resolve(roots, k: int) -> tuple[SpectrumConfiguration, SMembership]:
     2n generically and 2n - 1 when kappa = 1.  A different count is
     reported as clause "count" instead of raised.
     """
-    config = classify(canonicalize_conjugates(roots))
-    if config.count != k:
-        return config, SMembership(False, "count", f"{config.count} points, expected {k}")
-    return config, is_in_S(k, config)
+    rows = resolve_rows(np.asarray(roots, dtype=complex).reshape(1, -1), k)
+    if rows.failures:
+        raise rows.failures[0]
+    return rows.configuration(0), rows.membership(0)

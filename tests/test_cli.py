@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from openrmt import DensityParams, KappaDistribution, cli, log_density_random_kappa, spectra
+from openrmt import DensityParams, KappaDistribution, cli, experiments, log_density_random_kappa
 from openrmt.spectra import canonicalize_conjugates, classify
 
 SEED = "4242"
@@ -73,13 +73,14 @@ def test_sample_reports_rejections_on_stderr(capsys, monkeypatch):
     argv = ["sample", "--n", "2", "--trials", "5", "--seed", SEED]
     assert cli.main(argv) == 0
     clean = capsys.readouterr().out.splitlines()
-    real, calls = spectra.is_in_S, []
+    real = experiments.resolve_rows
 
-    def first_call_fails(k, config):
-        calls.append(k)
-        return spectra.SMembership(False, "ii", "forced") if len(calls) == 1 else real(k, config)
+    def first_row_fails(roots, k):
+        rows = real(roots, k)
+        rows.clause[0] = "ii"
+        return rows
 
-    monkeypatch.setattr(spectra, "is_in_S", first_call_fails)
+    monkeypatch.setattr(experiments, "resolve_rows", first_row_fails)
     assert cli.main(argv) == 0
     out = capsys.readouterr()
     lines = out.out.splitlines()
@@ -195,3 +196,18 @@ def test_density_normalize_report():
     doc = json.loads(proc.stdout)
     assert doc["passed"] is True
     assert abs(doc["statistics"]["total"] - 1.0) < 0.01
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    code = "import sys, openrmt.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_dump_writes_non_finite_residuals_as_null():
+    rec = {"trial": 3, "in_S": False, "clause": "count", "kappa_check_residual": math.inf}
+    assert cli._dump(rec) == '{"clause": "count", "in_S": false, "kappa_check_residual": null, "trial": 3}'
+    assert cli._dump({"zeros": [[math.nan, 0.0, "resonance"]]}) == '{"zeros": [[null, 0.0, "resonance"]]}'
+    assert cli._dump({"kappa_check_residual": 1e-15}) == '{"kappa_check_residual": 1e-15}'
