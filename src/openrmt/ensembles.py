@@ -192,10 +192,6 @@ def chi_sample(stream: RandomStream, dof: float, scale: float = 1.0, size: int |
 
 
 def sample_kappa(dist: KappaDistribution, stream: RandomStream) -> float:
-    return _draw_kappa(dist, stream)
-
-
-def _draw_kappa(dist: KappaDistribution, stream: RandomStream) -> float:
     if dist.kind == "point":
         return dist.params[0]
     if dist.kind == "uniform":
@@ -232,7 +228,7 @@ def sample_coupled_trials(params: EnsembleParams, streams) -> tuple[np.ndarray, 
     """Stacked draws of one coupled trial per stream: s (T, n), t (T, n - 1), kappa (T,).
 
     Each stream draws its block as :func:`sample_de_tridiagonal` does and
-    then its coupling as :func:`sample_kappa` does, so row i depends on
+    then its coupling with :func:`sample_kappa`, so row i depends on
     streams[i] alone and not on how trials are grouped.
     """
     s = np.empty((len(streams), params.n))
@@ -240,7 +236,7 @@ def sample_coupled_trials(params: EnsembleParams, streams) -> tuple[np.ndarray, 
     kappa = np.empty(len(streams))
     for i, stream in enumerate(streams):
         s[i], t[i] = _draw_block(params, stream)
-        kappa[i] = _draw_kappa(params.kappa, stream)
+        kappa[i] = sample_kappa(params.kappa, stream)
     return s, t, kappa
 
 

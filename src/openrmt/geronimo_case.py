@@ -161,11 +161,14 @@ def k_from_lstar(lstar: RealPolynomial) -> RealPolynomial:
     return RealPolynomial(_k_lists_from_lstar(cs, cs[-1]))
 
 
-def _forward_lists(a, b, one):
+def _forward_steps(a, b, one):
+    """Yield the coefficient lists (L*_j, K_j) for j = 1..2n, one level at a time.
+
+    Only the current level is kept, so a caller that needs L*_{2n} alone
+    holds O(n) numbers; a, b may be floats, mpf or arrays of one column
+    per coefficient set.
+    """
     zero = one - one
-    lstar = [one]
-    k = [one]
-    seq = [([one], [one])]
     L, K = [one], [one]
     for j in range(len(a)):
         bj = b[j]
@@ -178,10 +181,13 @@ def _forward_lists(a, b, one):
         for i in range(len(K)):
             L2[i] = L2[i] - c * K[i]
             K2[i] = K2[i] + K[i]
-        seq.append((L1, K))
-        seq.append((L2, K2))
+        yield L1, K
+        yield L2, K2
         L, K = L2, K2
-    return seq
+
+
+def _forward_lists(a, b, one):
+    return [([one], [one]), *_forward_steps(a, b, one)]
 
 
 def gc_forward(coeffs: JacobiCoefficients, precision: int | None = None) -> GCSequence:

@@ -17,10 +17,12 @@ residual certificate in L*_{2n} (RootFindingError when it fails):
   43, 2001), where J_n is the Jacobi block with diagonal b and
   off-diagonal a_1..a_{n-1} and C = diag(1, ..., 1, 1 - a_n^2).  There
   are no spurious eigenvalues, and kappa = a_n = 1 gives an exact zero.
+  :func:`coefficient_zeros` is its one-row form for a single coefficient
+  set, with exact origin zeros for trailing free levels.
 - :func:`polynomial_roots` takes the eigenvalues of the monic companion
   matrix of one polynomial, which is backward stable (Edelman & Murakami,
   Math. Comp. 64, 1995), after exact origin zeros are stripped.  It is
-  the independent monomial route.
+  the independent monomial route that the tests compare against.
 
 Verdicts are array operations over stacked root sets (T, K):
 :func:`resolve_rows` canonicalizes conjugate pairs, drops origin zeros,
@@ -38,13 +40,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geronimo_case import RealPolynomial, _forward_lists
+from .geronimo_case import RealPolynomial, _forward_steps
+from .jacobi import JacobiCoefficients, perturbation_order
 
 RESIDUAL_RTOL = 1e-9
 ORIGIN_RADIUS = 1e-10
 REALNESS_TOL = 1e-8
 MULTIPLICITY_RADIUS = 1e-7
 PAIRING_RTOL = 1e-6
+# entries of one stacked (rows, K, K) array pass: 8 MB of float64
+STACK_BUDGET = 1 << 20
 # fills the unused slots of a row; sorts after every point
 EMPTY = complex(np.nan, np.nan)
 
@@ -99,6 +104,12 @@ def polynomial_roots(p: RealPolynomial) -> np.ndarray:
     return np.array(sorted(out, key=_canon_key))
 
 
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive row slices whose (rows, width, width) arrays hold at most STACK_BUDGET entries."""
+    step = max(1, STACK_BUDGET // max(width * width, 1))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def linearization_zeros(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
     """Certified zeros of L*_{2n} for stacked coefficient rows a, b (T, n).
 
@@ -106,8 +117,29 @@ def linearization_zeros(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[
     -> the exception of that row (LinAlgError for a non-finite or
     non-convergent matrix, RootFindingError for a failed residual in the
     ladder polynomial).  Each row is solved and certified on its own, so
-    stacking never changes a row's zeros.
+    stacking never changes a row's zeros; the matrices are solved in
+    blocks of rows that keep each stack within STACK_BUDGET entries.
     """
+    rows, n = a.shape
+    zeros = np.empty((rows, 2 * n), dtype=complex)
+    failures: dict[int, Exception] = {}
+    for block in _row_blocks(rows, 2 * n):
+        zeros[block], block_failures = _linearization_eigvals(a[block], b[block])
+        failures.update((block.start + i, exc) for i, exc in block_failures.items())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lstar, _ in _forward_steps(list(a.T), list(b.T), 1.0):
+            pass  # the certificate needs only the top level L*_{2n}
+        coeffs = np.column_stack([np.broadcast_to(c, (rows,)) for c in lstar])
+        certified = _residuals_ok(coeffs, zeros)
+    for i in np.flatnonzero(~certified):
+        failures.setdefault(
+            i, RootFindingError(f"root residuals exceed tolerance for degree {2 * n} input")
+        )
+    return zeros, failures
+
+
+def _linearization_eigvals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Eigenvalues of the stacked [[0, I], [-C, J_n]], row by row where the stack fails."""
     rows, n = a.shape
     idx = np.arange(n)
     mat = np.zeros((rows, 2 * n, 2 * n))
@@ -123,7 +155,7 @@ def linearization_zeros(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[
         failures[i] = np.linalg.LinAlgError("Array must not contain infs or NaNs")
     mat[~finite] = 0.0
     try:
-        zeros = np.linalg.eigvals(mat).astype(complex)
+        return np.linalg.eigvals(mat).astype(complex), failures
     except np.linalg.LinAlgError:  # some row did not converge: solve the rows one by one
         zeros = np.zeros((rows, 2 * n), dtype=complex)
         for i in range(rows):
@@ -131,15 +163,27 @@ def linearization_zeros(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[
                 zeros[i] = np.linalg.eigvals(mat[i])
             except np.linalg.LinAlgError as exc:
                 failures.setdefault(i, exc)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lstar = _forward_lists(list(a.T), list(b.T), 1.0)[-1][0]
-        coeffs = np.column_stack([np.broadcast_to(c, (rows,)) for c in lstar])
-        certified = _residuals_ok(coeffs, zeros)
-    for i in np.flatnonzero(~certified):
-        failures.setdefault(
-            i, RootFindingError(f"root residuals exceed tolerance for degree {2 * n} input")
+        return zeros, failures
+
+
+def coefficient_zeros(coeffs: JacobiCoefficients) -> np.ndarray:
+    """Certified zeros of L*_{2n} for one coefficient set, by the linearization.
+
+    Trailing free levels (a_j = 1, b_j = 0) are cut first: each makes
+    L*_{2j} = z^2 L*_{2j-2}, so it adds two zeros at the origin, which
+    are appended exactly; the linearization would split such a multiple
+    zero by about sqrt(machine epsilon).  Raises the row's failure.
+    """
+    levels = (perturbation_order(coeffs) + 1) // 2
+    zeros = np.zeros(2 * len(coeffs.a), dtype=complex)
+    if levels:
+        top, failures = linearization_zeros(
+            np.array([coeffs.a[:levels]]), np.array([coeffs.b[:levels]])
         )
-    return zeros, failures
+        if failures:
+            raise failures[0]
+        zeros[: 2 * levels] = top[0]
+    return zeros
 
 
 @dataclass(frozen=True)
@@ -191,9 +235,10 @@ def _canonical_rows(roots: np.ndarray, tol: float):
     Returns (points, origin_drops, failures).  Row i holds its kept points
     sorted by (re, im), then EMPTY slots.  Roots within ORIGIN_RADIUS of
     the origin are dropped and counted; near-real roots are snapped onto
-    the axis; upper and lower half-plane roots are matched in sorted order
-    into exact conjugate pairs (the mean of the two).  A row whose
-    non-real roots do not pair maps to a ConjugationError in failures.
+    the axis; each upper half-plane root, in (re, im) order, takes the
+    nearest unused lower half-plane root, and the pair becomes the exact
+    conjugates of their mean.  A row whose non-real roots do not pair
+    maps to a ConjugationError in failures.
     """
     z = np.asarray(roots, dtype=complex)
     mod = np.abs(z)
@@ -201,16 +246,25 @@ def _canonical_rows(roots: np.ndarray, tol: float):
     real = kept & (np.abs(z.imag) <= tol * np.maximum(1.0, mod))
     upper = kept & ~real & (z.imag > 0)
     lower = kept & ~real & ~(z.imag > 0)
-    uppers = np.sort(np.where(upper, z, EMPTY), axis=1)
-    partners = np.sort(np.where(lower, z.conj(), EMPTY), axis=1)
-    unpaired = np.abs(uppers - partners) > PAIRING_RTOL * np.maximum(1.0, np.abs(uppers))
     failures: dict[int, Exception] = {}
     n_up, n_low = upper.sum(axis=1), lower.sum(axis=1)
     for i in np.flatnonzero(n_up != n_low):
         failures[i] = ConjugationError(f"{n_up[i]} upper vs {n_low[i]} lower half-plane roots")
-    for i in np.flatnonzero(unpaired.any(axis=1)):
-        u = complex(uppers[i, np.argmax(unpaired[i])])
-        failures.setdefault(i, ConjugationError(f"no conjugate partner for root {u}"))
+    uppers = np.sort(np.where(upper, z, EMPTY), axis=1)[:, : n_up.max(initial=0)]
+    partners = np.full(uppers.shape, EMPTY)
+    free = lower.copy()
+    at = np.arange(len(z))
+    for m in range(uppers.shape[1]):
+        # first minimum in root order, as a scan over the unused lower roots finds it
+        gaps = np.where(free, np.abs(uppers[:, m : m + 1].conj() - z), np.inf)
+        j = np.argmin(gaps, axis=1)
+        active = m < n_up
+        near = gaps[at, j] <= PAIRING_RTOL * np.maximum(1.0, np.abs(uppers[:, m]))
+        for i in np.flatnonzero(active & ~near):
+            u = complex(uppers[i, m])
+            failures.setdefault(i, ConjugationError(f"no conjugate partner for root {u}"))
+        free[at[active], j[active]] = False
+        partners[active, m] = z[at[active], j[active]].conj()
     mean = 0.5 * (uppers + partners)
     points = np.concatenate([np.where(real, z.real + 0j, EMPTY), mean, mean.conj()], axis=1)
     points = np.sort(points, axis=1)[:, : z.shape[1]]
@@ -393,7 +447,7 @@ class ResolvedRows:
         return SMembership(self.clause[i] is None, self.clause[i], self.detail[i])
 
 
-def resolve_rows(roots: np.ndarray, k, tol: float = REALNESS_TOL) -> ResolvedRows:
+def resolve_rows(roots: np.ndarray, k) -> ResolvedRows:
     """Canonical, labelled configurations of stacked root sets (T, K) and their verdicts.
 
     k (an int or one per row) is the expected number of points after
@@ -402,8 +456,12 @@ def resolve_rows(roots: np.ndarray, k, tol: float = REALNESS_TOL) -> ResolvedRow
     1.  A different count is reported as clause "count".  Every row is
     judged on its own, so stacking never changes a row's verdict.
     """
-    points, drops, failures = _canonical_rows(roots, tol)
-    clauses, details = _clause_rows(points, tol)
+    points, drops, failures = _canonical_rows(roots, REALNESS_TOL)
+    clauses, details = [], []
+    for block in _row_blocks(len(points), points.shape[1]):
+        block_clauses, block_details = _clause_rows(points[block], REALNESS_TOL)
+        clauses += block_clauses
+        details += block_details
     count = (~np.isnan(points)).sum(axis=1)
     k = np.broadcast_to(k, count.shape)
     for i in np.flatnonzero(count != k):

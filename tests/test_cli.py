@@ -120,6 +120,18 @@ def test_spectrum_with_trivial_top_level_is_admissible(capsys):
     assert [label for _, _, label in doc["zeros"]] == ["resonance", "resonance"]
 
 
+def test_spectrum_cuts_trailing_free_levels(capsys):
+    # two free levels on top: L*_6 = z^4 L*_2, four exact origin zeros
+    assert cli.main(["spectrum", "--a", "0.5,1,1", "--b", "0.3,0,0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["in_S"] is True and doc["clause"] is None
+    assert doc["polynomial"][:4] == [0.0] * 4
+    assert [label for _, _, label in doc["zeros"]] == ["resonance", "resonance"]
+    assert cli.main(["spectrum", "--a", "1,1", "--b", "0,0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["in_S"] is True and doc["zeros"] == []
+
+
 def test_spectrum_reads_json_from_stdin():
     proc = run_cli("spectrum", "--input", "-", stdin='{"a": [2.0], "b": [0.0]}')
     assert proc.returncode == 0
@@ -156,6 +168,18 @@ def test_density_eval_matches_library():
     assert abs(out["log_density"] - expected.log_value) < 1e-12
     assert out["kappa_implied"] == 3.0
     assert out["in_support"] is True
+
+
+def test_density_eval_pairs_inexact_conjugates():
+    doc = '{"points": [[0.5, 0.3], [0.5000000001, -0.3], [0.5, 0.6], [0.5, -0.6]]}'
+    proc = run_cli("density", "eval", "--beta", "2", stdin=doc)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["count"] == 4 and out["n"] == 2
+    exact = [0.5 + 0.3j, 0.5 - 0.3j, 0.5 + 0.6j, 0.5 - 0.6j]
+    config = classify(canonicalize_conjugates(np.array(exact)))
+    params = DensityParams(2.0, 2, 1.0, KappaDistribution("chi", (3.0, 0.5)))
+    assert out["log_density"] == pytest.approx(log_density_random_kappa(config, params).log_value)
 
 
 def test_density_eval_out_of_support_still_exits_zero():

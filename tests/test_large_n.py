@@ -20,7 +20,10 @@ from openrmt import (
     joukowsky,
     run_resonance_sampling,
 )
+from openrmt import RandomStream, spectra
+from openrmt.ensembles import sample_coupled_trials
 from openrmt.experiments import _pipeline_chunk
+from openrmt.jacobi import coupled_coefficients, perturbation_orders
 
 SEED = 271828
 CHI = KappaDistribution("chi", (3.0, 0.5))
@@ -54,7 +57,8 @@ def test_sampled_zeros_match_finite_sections(n):
     assert worst < 1e-6
 
 
-def test_sample_n32_has_no_failing_record(capsys):
+def test_sample_n32_has_no_failing_record(capsys, tmp_path):
+    """Every record is in S, and `spectrum` on its coefficients gives the same zeros."""
     assert cli.main(["sample", "--n", "32", "--trials", "100", "--seed", "7"]) == 0
     out = capsys.readouterr()
     records = [json.loads(line) for line in out.out.splitlines()]
@@ -64,6 +68,12 @@ def test_sample_n32_has_no_failing_record(capsys):
         assert rec["in_S"] is True and rec["clause"] is None
         assert rec["kappa_check_residual"] <= 1e-9
     assert out.err == ""
+    path = tmp_path / "coeffs.json"
+    for rec in records:
+        path.write_text(json.dumps({"a": rec["a"], "b": rec["b"]}))
+        assert cli.main(["spectrum", "--input", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["in_S"] is True and doc["zeros"] == rec["zeros"]
 
 
 @pytest.mark.parametrize("n, kappa", [(3, CHI), (8, CHI), (3, KappaDistribution("point", (1.0,)))])
@@ -72,3 +82,22 @@ def test_records_do_not_depend_on_chunk_bounds(n, kappa):
     whole = _pipeline_chunk((params, SEED, 0, 512))
     split = _pipeline_chunk((params, SEED, 0, 137)) + _pipeline_chunk((params, SEED, 137, 512))
     assert [cli._dump(rec) for rec in whole] == [cli._dump(rec) for rec in split]
+
+
+def test_row_blocks_do_not_change_zeros_or_verdicts(monkeypatch):
+    """Stacks split into blocks of a few rows give the rows of one whole stack."""
+    s, t, kappa = sample_coupled_trials(
+        EnsembleParams(2.0, 8, 1.0, CHI), [RandomStream(SEED).substream(i) for i in range(40)]
+    )
+    a, b, failures = coupled_coefficients(s, t, 1.0, kappa)
+    assert not failures
+    whole_zeros, _ = spectra.linearization_zeros(a, b)
+    whole = spectra.resolve_rows(whole_zeros, perturbation_orders(a, b))
+    monkeypatch.setattr(spectra, "STACK_BUDGET", 3 * 16 * 16)
+    assert len(spectra._row_blocks(40, 16)) == 14
+    zeros, root_failures = spectra.linearization_zeros(a, b)
+    rows = spectra.resolve_rows(zeros, perturbation_orders(a, b))
+    assert not root_failures and not rows.failures
+    assert np.array_equal(zeros, whole_zeros)
+    assert np.array_equal(rows.points, whole.points, equal_nan=True)
+    assert rows.clause == whole.clause and rows.detail == whole.detail

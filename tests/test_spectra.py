@@ -18,6 +18,7 @@ from openrmt import (
     polynomial_roots,
     resolve,
 )
+from openrmt.spectra import resolve_rows
 
 SEED = 161803
 
@@ -83,6 +84,17 @@ def test_canonicalize_counts_origin_drops():
     config = canonicalize_conjugates(np.array([0.0j, 0.0j, 2.0 + 0.0j]))
     assert config.origin_drops == 2
     assert config.count == 1
+
+
+def test_canonicalize_pairs_inexact_conjugates_by_nearest_partner():
+    # two pairs share a real part and one lower root is off by rounding:
+    # sorted order would pair 0.5 + 0.3j with 0.5 - 0.6j
+    raw = np.array([0.5 + 0.3j, 0.5000000001 - 0.3j, 0.5 + 0.6j, 0.5 - 0.6j])
+    config = canonicalize_conjugates(raw)
+    assert config.points == (0.5 - 0.6j, 0.5 + 0.6j, 0.50000000005 - 0.3j, 0.50000000005 + 0.3j)
+    rows = resolve_rows(np.stack([raw, raw[::-1]]), 4)
+    assert not rows.failures
+    assert rows.configuration(1).points == config.points
 
 
 def test_canonicalize_rejects_unpaired_points():
