@@ -18,18 +18,22 @@ off a_{k+1}^2 = 1 - L*_{2k+2}(0) and b_{k+1} = -L*_{2k+1}(0) level by level.
 
 The inverse map is ill-conditioned when several a_j are small (each level
 divides by a_{k+1}^2), so both directions accept an optional working
-precision in decimal digits and then run on mpmath numbers end to end.
-Plain floats are the default and are fine for every downstream consumer;
-coefficient recovery to near machine accuracy at n around 8 needs the
-extended path.
+precision p in decimal digits.  They then run on the standard library's
+decimal.Decimal end to end, in a fresh decimal.Context(prec=p) with
+round-half-even, so the caller's decimal context cannot change a result.
+Floats enter exactly (Decimal(float) does not round), every operation
+rounds to p significant digits, and a_k is the correctly rounded
+Decimal.sqrt.  Plain floats are the default and are fine for every
+downstream consumer; coefficient recovery to near machine accuracy at n
+around 8 needs the extended path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from typing import Sequence
-
-from mpmath import mp, mpf, sqrt as mp_sqrt
 
 from .jacobi import JacobiCoefficients
 
@@ -46,9 +50,9 @@ class InversionError(ValueError):
 class RealPolynomial:
     """Dense real polynomial, coefficients in ascending degree order.
 
-    Coefficients are Python floats or mpmath.mpf.  Trailing zeros are
-    trimmed on construction; the zero polynomial has empty coefficients
-    and degree -1.
+    Coefficients are Python floats (or ints), or decimal.Decimal on the
+    extended-precision ladder.  Trailing zeros are trimmed on
+    construction; the zero polynomial has empty coefficients and degree -1.
     """
 
     __slots__ = ("coeffs",)
@@ -72,8 +76,17 @@ class RealPolynomial:
         return self.coeffs[0] if self.coeffs else 0.0
 
     def __call__(self, z):
+        """Horner evaluation at z.
+
+        Decimal coefficients do not mix with float or complex arithmetic,
+        so at any point that is not itself a Decimal they are first
+        rounded to floats.
+        """
+        cs = self.coeffs
+        if not isinstance(z, Decimal) and any(isinstance(c, Decimal) for c in cs):
+            cs = [float(c) for c in cs]
         acc = 0 * z
-        for c in reversed(self.coeffs):
+        for c in reversed(cs):
             acc = acc * z + c
         return acc
 
@@ -94,7 +107,8 @@ def reversal(poly: RealPolynomial, m: int) -> RealPolynomial:
     """Coefficient reversal within degree m: z^m * p(1/z)."""
     if poly.degree > m:
         raise ValueError(f"cannot reverse degree {poly.degree} within degree {m}")
-    padded = list(poly.coeffs) + [0.0] * (m + 1 - len(poly.coeffs))
+    zero = type(poly.coeffs[-1])() if poly.coeffs else 0.0
+    padded = list(poly.coeffs) + [zero] * (m + 1 - len(poly.coeffs))
     return RealPolynomial(reversed(padded))
 
 
@@ -115,7 +129,12 @@ class GCSequence:
 
 
 def _coeff_scale(cs) -> float:
-    return max((abs(float(c)) for c in cs), default=0.0) or 1.0
+    return float(max(map(abs, cs), default=0.0)) or 1.0
+
+
+def _context(precision: int) -> Context:
+    """A fresh decimal context of precision digits, rounding half to even."""
+    return Context(prec=precision, rounding=ROUND_HALF_EVEN)
 
 
 def _div_one_minus_z2(num: list, zero):
@@ -165,8 +184,8 @@ def _forward_steps(a, b, one):
     """Yield the coefficient lists (L*_j, K_j) for j = 1..2n, one level at a time.
 
     Only the current level is kept, so a caller that needs L*_{2n} alone
-    holds O(n) numbers; a, b may be floats, mpf or arrays of one column
-    per coefficient set.
+    holds O(n) numbers; a, b may be floats, Decimals or arrays of one
+    column per coefficient set.
     """
     zero = one - one
     L, K = [one], [one]
@@ -193,15 +212,19 @@ def _forward_lists(a, b, one):
 def gc_forward(coeffs: JacobiCoefficients, precision: int | None = None) -> GCSequence:
     """Run the ladder upward from the coefficient pairs.
 
-    precision, if given, is the mpmath working precision in decimal
-    digits; the returned polynomials then carry mpf coefficients so a
-    subsequent extended-precision inversion loses nothing.
+    precision, if given, is the working precision in decimal digits: the
+    coefficients enter as exact Decimals and every step rounds to that
+    many significant digits, so the returned polynomials carry Decimal
+    coefficients and a subsequent extended-precision inversion loses
+    nothing.
     """
     if precision is None:
         seq = _forward_lists([float(x) for x in coeffs.a], [float(x) for x in coeffs.b], 1.0)
     else:
-        with mp.workdps(precision):
-            seq = _forward_lists([mpf(x) for x in coeffs.a], [mpf(x) for x in coeffs.b], mpf(1))
+        with localcontext(_context(precision)):
+            seq = _forward_lists(
+                [Decimal(x) for x in coeffs.a], [Decimal(x) for x in coeffs.b], Decimal(1)
+            )
     lstars = tuple(RealPolynomial(L, trim=False) for L, _ in seq)
     ks = tuple(RealPolynomial(K, trim=False) for _, K in seq)
     return GCSequence(lstars, ks)
@@ -221,7 +244,7 @@ def _inverse_lists(lc: list, one):
             raise InversionError(
                 f"level {k + 1}: 1 - L*(0) = {float(asq):.3e} is not positive"
             )
-        a[k] = mp_sqrt(asq) if isinstance(asq, mpf) else asq**0.5
+        a[k] = asq.sqrt() if isinstance(asq, Decimal) else asq**0.5
         # K at the odd level has degree 2k; the top two differences are structural zeros
         top_gap = abs(float(K[2 * k + 1]) - float(L[2 * k + 1]))
         if top_gap > REMAINDER_RTOL * scale:
@@ -250,18 +273,25 @@ def _inverse_lists(lc: list, one):
 def gc_inverse(lstar_2n: RealPolynomial, precision: int | None = None) -> JacobiCoefficients:
     """Recover (a, b) from the top ladder polynomial L*_{2n}.
 
+    The coefficients may be floats, ints or Decimals.  With precision
+    given (decimal digits) they enter as exact Decimals and the recursion
+    runs at that many digits, as in gc_forward; without it they are
+    rounded to floats.
+
     Raises InversionError when the input is not numerically consistent
-    with any coefficient set (negative a^2, nonvanishing remainders, bad
-    ladder bottom).
+    with any coefficient set (a non-finite coefficient, negative a^2,
+    nonvanishing remainders, bad ladder bottom).
     """
     deg = lstar_2n.degree
     if deg < 2 or deg % 2:
         raise ValueError("gc_inverse needs a monic polynomial of even degree >= 2")
     if not lstar_2n.is_monic:
         raise ValueError("gc_inverse needs a monic polynomial")
+    if not all(math.isfinite(c) for c in lstar_2n.coeffs):
+        raise InversionError(f"non-finite coefficient in {lstar_2n!r}")
     if precision is None:
         a, b = _inverse_lists([float(c) for c in lstar_2n.coeffs], 1.0)
     else:
-        with mp.workdps(precision):
-            a, b = _inverse_lists([mpf(c) for c in lstar_2n.coeffs], mpf(1))
+        with localcontext(_context(precision)):
+            a, b = _inverse_lists([Decimal(c) for c in lstar_2n.coeffs], Decimal(1))
     return JacobiCoefficients(tuple(float(x) for x in a), tuple(float(x) for x in b))

@@ -222,12 +222,20 @@ def test_density_normalize_report():
     assert abs(doc["statistics"]["total"] - 1.0) < 0.01
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    code = "import sys, openrmt.cli; print('scipy' in sys.modules)"
+def _loaded_by_importing_the_cli(module):
+    code = f"import sys, openrmt.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    assert not _loaded_by_importing_the_cli("scipy")
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    assert not _loaded_by_importing_the_cli("mpmath")
 
 
 def test_dump_writes_non_finite_residuals_as_null():

@@ -1,5 +1,8 @@
+import decimal
 import math
+from decimal import Decimal
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,12 +10,15 @@ from openrmt import (
     GCSequence,
     InversionError,
     JacobiCoefficients,
+    RandomStream,
     RealPolynomial,
     gc_forward,
     gc_inverse,
     k_from_lstar,
+    random_coefficients,
     reversal,
 )
+from openrmt.geronimo_case import _forward_lists
 
 SEED = 271828
 
@@ -126,6 +132,90 @@ def test_precision_paths_agree():
     assert np.allclose(plain.coeffs, [float(c) for c in extended.coeffs], rtol=1e-12)
 
 
+def test_extended_ladder_matches_an_mpmath_oracle():
+    """The 50-digit Decimal ladder agrees with the same recursion run on mpmath at 60 digits."""
+    gen = np.random.default_rng(SEED + 4)
+    for n in (1, 4, 8, 16):
+        coeffs = _random_coeffs(gen, n)
+        got = gc_forward(coeffs, precision=50).final.coeffs
+        with mpmath.workdps(60):
+            a, b = [mpmath.mpf(x) for x in coeffs.a], [mpmath.mpf(x) for x in coeffs.b]
+            want = _forward_lists(a, b, mpmath.mpf(1))[-1][0]
+            assert len(got) == len(want) == 2 * n + 1
+            for g, w in zip(got, want):
+                assert isinstance(g, Decimal)
+                assert abs(mpmath.mpf(str(g)) - w) <= 1e-40 * abs(w)
+
+
+def test_extended_ladder_ignores_the_callers_decimal_context():
+    coeffs = JacobiCoefficients((1.7, 0.4, 2.2), (-0.3, 1.1, 0.6))
+    forward = gc_forward(coeffs, precision=40).final
+    inverse = gc_inverse(forward, precision=40)
+    ctx = decimal.getcontext()
+    saved = ctx.copy()
+    try:
+        ctx.prec, ctx.rounding = 5, decimal.ROUND_DOWN
+        ctx.clear_flags()
+        again = gc_forward(coeffs, precision=40).final
+        assert [c.as_tuple() for c in again.coeffs] == [c.as_tuple() for c in forward.coeffs]
+        assert gc_inverse(again, precision=40) == inverse
+        assert decimal.getcontext() is ctx
+        assert (ctx.prec, ctx.rounding) == (5, decimal.ROUND_DOWN)
+        assert not any(ctx.flags.values())
+    finally:
+        decimal.setcontext(saved)
+    assert inverse == coeffs
+
+
+def test_extended_ladder_polynomials_evaluate_and_reverse():
+    """z^2 - 2z - 8 on Decimal coefficients, at float, complex and Decimal points."""
+    seq = gc_forward(JacobiCoefficients((3.0,), (2.0,)), precision=40)
+    final = seq.final
+    assert final(4.0) == 0.0
+    assert final(1.5) == -8.75
+    assert final(1j) == complex(-9.0, -2.0)
+    assert final(Decimal("1.5")) == Decimal("-8.75")
+    rev = reversal(seq.lstar[1], 3)
+    assert rev.coeffs == (0, 0, 1, -2)
+    assert all(isinstance(c, Decimal) for c in rev.coeffs)
+
+
+def test_float_and_int_polynomials_invert_at_extended_precision():
+    assert gc_inverse(RealPolynomial((-8.0, -2.0, 1.0)), precision=40) == JacobiCoefficients((3.0,), (2.0,))
+    assert gc_inverse(RealPolynomial((-8, -2, 1)), precision=40) == JacobiCoefficients((3.0,), (2.0,))
+    coeffs = _random_coeffs(np.random.default_rng(SEED + 5), 3)
+    rec = gc_inverse(gc_forward(coeffs).final, precision=40)
+    assert np.allclose(rec.a, coeffs.a, rtol=1e-9)
+    assert np.allclose(rec.b, coeffs.b, rtol=1e-9, atol=1e-9)
+
+
+def test_float_path_error_curve():
+    """The float-path round trip beside criterion 1, which runs at 40 digits.
+
+    Prints the worst relative error (as roundtrip_suite scores it) and the
+    InversionError count over 300 random coefficient sets at each n; the
+    error grows by orders of magnitude per level, and n <= 4 stays below
+    1e-8 with no failure.
+    """
+    print("float-path round trip, 300 random coefficient sets per n:")
+    for n in (2, 4, 6, 8):
+        master = RandomStream(SEED)
+        worst, failures = 0.0, 0
+        for trial in range(300):
+            coeffs = random_coefficients(master.substream(trial), n)
+            try:
+                rec = gc_inverse(gc_forward(coeffs).final)
+            except InversionError:
+                failures += 1
+                continue
+            for got, want in zip(rec.a + rec.b, coeffs.a + coeffs.b):
+                worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+        print(f"  n = {n}: max relative error {worst:.3g}, InversionError {failures}/300")
+        if n <= 4:
+            assert worst < 1e-8
+            assert failures == 0
+
+
 def test_inverse_rejects_malformed_polynomials():
     with pytest.raises(ValueError):
         gc_inverse(RealPolynomial((1.0, 0.0, 2.0)))  # not monic
@@ -139,6 +229,13 @@ def test_inverse_rejects_infeasible_top_level():
     # constant term 1 forces the top perturbation strength to zero
     with pytest.raises(InversionError):
         gc_inverse(RealPolynomial((1.0, 2.0, 1.0)))
+
+
+@pytest.mark.parametrize("precision", [None, 40])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_inverse_rejects_non_finite_coefficients(precision, bad):
+    with pytest.raises(InversionError, match="non-finite"):
+        gc_inverse(RealPolynomial((bad, 0.0, 1.0)), precision=precision)
 
 
 def test_inverse_rejects_polynomials_outside_the_image():

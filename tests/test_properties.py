@@ -111,7 +111,9 @@ def test_linearization_stays_accurate_on_clustered_roots():
     coeffs = JacobiCoefficients((0.125, 0.125, 0.25, 0.125, 0.125, 0.25, 0.25, 0.5), (0.0,) * 8)
     final = gc_forward(coeffs, precision=60).final
     with mpmath.workdps(60):
-        exact = mpmath.polyroots(list(reversed(final.coeffs)), maxsteps=500, extraprec=400)
+        exact = mpmath.polyroots(
+            [mpmath.mpf(str(c)) for c in reversed(final.coeffs)], maxsteps=500, extraprec=400
+        )
     exact = np.array([complex(z) for z in exact])
     assert _distance(_linearization(coeffs), exact) < 1e-13
     assert _distance(polynomial_roots(final.to_floats()), exact) > 1e-10
