@@ -14,6 +14,15 @@ kappa is deterministically 1 one zero sits at the origin; dropping it
 leaves 2n-1 points with the same density shape, no kappa block, and its
 own constant.
 
+The formula is evaluated once, by :func:`log_density_batch`, on stacked
+configurations in the coordinates of the wedge measure 1/(M! L!): L
+real points and one member of each of M conjugate pairs per row.  The
+point count L + 2M picks the law: 2n is the random-kappa density, 2n - 1
+the kappa = 1 density.  :func:`log_density_random_kappa` and
+:func:`log_density_kappa1` add the support, membership and singularity
+checks around a one-row call, and the n = 1 quadrature and binning in
+the experiments module evaluate it on whole grids.
+
 Everything is computed in log space; the constants grow like
 exp(beta n^2 / (2 gamma^2)) and would overflow double precision well
 inside the interesting parameter range.
@@ -26,11 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import KappaDistribution
-from .spectra import SpectrumConfiguration, is_in_S
+from .ensembles import KappaDistribution, check_model_params
+from .spectra import SpectrumConfiguration, _row_blocks, is_in_S
 
 SINGULAR_TOL = 1e-14
-SUM_SQUARES_IMAG_TOL = 1e-9
 
 
 class SingularConfigurationError(ValueError):
@@ -51,12 +59,7 @@ class DensityParams:
     kappa_dist: KappaDistribution | None = None
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.gamma == 0:
-            raise ValueError("gamma must be nonzero")
+        check_model_params(self.beta, self.n, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -147,40 +150,90 @@ def wedge_factor(m_pairs: int, l_real: int, count: int | None = None) -> float:
     return 1.0 / (math.factorial(m_pairs) * math.factorial(l_real))
 
 
-def _shared_log_factors(z: np.ndarray, beta: float, n: int, gamma: float):
-    """Vandermonde, pair product, Gaussian, and per-point modulus factors.
+def _log_abs2(z: np.ndarray) -> np.ndarray:
+    """log |z|^2 of complex entries."""
+    return np.log(z.real * z.real + z.imag * z.imag)
 
-    Returns (log_sum, boundary).  Raises on the singular set z^2 = 1.
+
+def log_density_batch(reals: np.ndarray, pairs: np.ndarray, params: DensityParams) -> np.ndarray:
+    """Log density of stacked configurations: real points (T, L), pair members (T, M).
+
+    Row i is the configuration of the real points reals[i] and the
+    conjugate pairs pairs[i], conj(pairs[i]).  The count L + 2M picks the
+    law: 2n points carry the kappa block, with kappa^2 = 1 - prod z_j and
+    -inf where that square is nonpositive or F vanishes there; 2n - 1
+    points are the kappa = 1 law.  Rows are evaluated column by column in
+    the row blocks of the root solver, so each value depends on its own
+    row only.  Membership, the singular set z^2 = 1 and the unit circle
+    are left to the callers (see :func:`log_density_random_kappa`).
     """
-    one_minus_z2 = np.abs(1.0 - z * z)
-    if np.any(one_minus_z2 < SINGULAR_TOL):
-        raise SingularConfigurationError("some z_j^2 = 1 within tolerance")
-    log_sum = 0.0
-    if len(z) > 1:
-        iu = np.triu_indices(len(z), 1)
-        diff = np.abs(z[:, None] - z[None, :])[iu]
-        with np.errstate(divide="ignore"):
-            log_sum += float(np.sum(np.log(diff)))
-            pair = np.abs(1.0 - z[:, None] * np.conj(z[None, :]))[iu]
-            log_sum += 0.5 * (beta - 2.0) * float(np.sum(np.log(pair)))
+    reals = np.asarray(reals, dtype=float)
+    pairs = np.asarray(pairs, dtype=complex)
+    count = reals.shape[1] + 2 * pairs.shape[1]
+    consts = normalization_constants(params)
+    if count == 2 * params.n:
+        if params.kappa_dist is None:
+            raise ValueError("random-kappa density needs a kappa distribution")
+        log_d = consts.log_d_even
+    elif count == 2 * params.n - 1:
+        log_d = consts.log_d_odd
+    else:
+        raise ValueError(f"expected {2 * params.n} or {2 * params.n - 1} points, got {count}")
+    out = np.empty(len(reals))
+    for block in _row_blocks(len(reals), count):
+        out[block] = _log_density_rows(reals[block], pairs[block], params, count % 2 == 0) - log_d
+    return out
 
-    sum_z2 = complex(np.sum(z * z))
-    if abs(sum_z2.imag) > SUM_SQUARES_IMAG_TOL * max(1.0, abs(sum_z2)):
-        raise ValueError("sum of squared points is not real; configuration asymmetric")
-    log_sum += -0.25 * beta * n * sum_z2.real / (gamma * gamma)
 
-    boundary = False
-    exponent = 0.25 * (beta - 2.0)
-    ratio = np.abs(1.0 - np.abs(z) ** 2) / one_minus_z2
-    if np.any(ratio == 0.0):
-        boundary = True
-        if exponent > 0:
-            log_sum = -math.inf
-        elif exponent < 0:
-            log_sum = math.inf
-    elif exponent != 0.0:
-        log_sum += exponent * float(np.sum(np.log(ratio)))
-    return log_sum, boundary
+def _log_density_rows(r: np.ndarray, w: np.ndarray, params: DensityParams, random_kappa: bool):
+    """Unnormalized log density of one row block, in real and pair-member columns.
+
+    In these coordinates each conjugate pair's own Vandermonde factor is
+    2 Im w, its own cross factor |1 - w^2|^{(beta-2)/2} and its two
+    modulus factors combine to |1 - |w|^2|^{(beta-2)/2}, real points have
+    modulus factor 1, and every factor between a pair and another point
+    appears squared, once for each pair member.
+    """
+    beta, n, gamma = params.beta, params.n, params.gamma
+    cross = 0.5 * (beta - 2.0)
+    modsq = w.real * w.real + w.imag * w.imag
+    log_sum = np.zeros(len(r))
+    prod = np.ones(len(r))
+    sum_sq = np.zeros(len(r))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(r.shape[1]):
+            prod = prod * r[:, i]
+            sum_sq = sum_sq + r[:, i] * r[:, i]
+            for j in range(i + 1, r.shape[1]):
+                log_sum += np.log(np.abs(r[:, i] - r[:, j]))
+                if cross:
+                    log_sum += cross * np.log(np.abs(1.0 - r[:, i] * r[:, j]))
+            for m in range(w.shape[1]):
+                log_sum += _log_abs2(r[:, i] - w[:, m])
+                if cross:
+                    log_sum += cross * _log_abs2(1.0 - r[:, i] * w[:, m])
+        for m in range(w.shape[1]):
+            x, y = w[:, m].real, w[:, m].imag
+            prod = prod * modsq[:, m]
+            sum_sq = sum_sq + 2.0 * (x * x - y * y)
+            log_sum += np.log(2.0 * np.abs(y))
+            if cross:
+                log_sum += cross * np.log(np.abs(1.0 - modsq[:, m]))
+            for k in range(m + 1, w.shape[1]):
+                log_sum += _log_abs2(w[:, m] - w[:, k]) + _log_abs2(w[:, m] - w[:, k].conj())
+                if cross:
+                    log_sum += cross * (
+                        _log_abs2(1.0 - w[:, m] * w[:, k]) + _log_abs2(1.0 - w[:, m] * w[:, k].conj())
+                    )
+        log_sum -= sum_sq * (0.25 * beta * n / (gamma * gamma))
+        if not random_kappa:
+            return log_sum
+        ksq = 1.0 - prod
+        kappa = np.sqrt(ksq)
+        log_sum += ksq * (0.5 * beta * n / (gamma * gamma)) + params.kappa_dist.log_pdf(kappa)
+        if beta * n != 1.0:
+            log_sum -= (beta * n - 1.0) * np.log(kappa)
+    return np.where(ksq > 0, log_sum, -np.inf)
 
 
 def _real_products(points: np.ndarray) -> np.ndarray:
@@ -205,6 +258,20 @@ def _real_product(config: SpectrumConfiguration) -> float:
     return float(_real_products(np.array(config.points, dtype=complex).reshape(1, -1))[0])
 
 
+def _one_row(config: SpectrumConfiguration, params: DensityParams) -> tuple[float, bool]:
+    """(log density, boundary) of one configuration by :func:`log_density_batch`.
+
+    Raises on the singular set z^2 = 1; boundary marks a pair on the unit
+    circle.
+    """
+    z = np.array(config.points, dtype=complex)
+    if np.any(np.abs(1.0 - z * z) < SINGULAR_TOL):
+        raise SingularConfigurationError("some z_j^2 = 1 within tolerance")
+    reals, pairs = z[z.imag == 0].real, z[z.imag > 0]
+    value = log_density_batch(reals[None], pairs[None], params)[0]
+    return float(value), bool(np.any(pairs.real * pairs.real + pairs.imag * pairs.imag == 1.0))
+
+
 def log_density_random_kappa(
     config: SpectrumConfiguration, params: DensityParams
 ) -> LogDensityValue:
@@ -215,7 +282,7 @@ def log_density_random_kappa(
     F vanishes at the implied kappa, or when the configuration is not
     admissible.
     """
-    beta, n, gamma = params.beta, params.n, params.gamma
+    n = params.n
     if config.count != 2 * n:
         raise ValueError(f"expected {2 * n} points, got {config.count}")
     if params.kappa_dist is None or not params.kappa_dist.has_density:
@@ -225,19 +292,10 @@ def log_density_random_kappa(
     if prod_z >= 1.0:
         return LogDensityValue(-math.inf, None, False)
     kappa = math.sqrt(1.0 - prod_z)
-    f_kappa = params.kappa_dist.density_at(kappa)
-    if f_kappa <= 0.0:
+    if params.kappa_dist.log_pdf(kappa) == -math.inf or not is_in_S(2 * n, config):
         return LogDensityValue(-math.inf, kappa, False)
-    if not is_in_S(2 * n, config):
-        return LogDensityValue(-math.inf, kappa, False)
-
-    z = np.array(config.points, dtype=complex)
-    log_sum, boundary = _shared_log_factors(z, beta, n, gamma)
-    log_sum += 0.5 * beta * n * kappa * kappa / (gamma * gamma)
-    log_sum += math.log(f_kappa)
-    log_sum -= (beta * n - 1.0) * math.log(kappa)
-    log_sum -= normalization_constants(params).log_d_even
-    return LogDensityValue(log_sum, kappa, True, boundary)
+    value, boundary = _one_row(config, params)
+    return LogDensityValue(value, kappa, True, boundary)
 
 
 def log_density_kappa1(
@@ -249,12 +307,10 @@ def log_density_kappa1(
     canonicalizer does this); the remaining points carry the same factors
     without any kappa block.
     """
-    beta, n, gamma = params.beta, params.n, params.gamma
+    n = params.n
     if config.count != 2 * n - 1:
         raise ValueError(f"expected {2 * n - 1} points, got {config.count}")
     if not is_in_S(2 * n - 1, config):
         return LogDensityValue(-math.inf, None, False)
-    z = np.array(config.points, dtype=complex)
-    log_sum, boundary = _shared_log_factors(z, beta, n, gamma)
-    log_sum -= normalization_constants(params).log_d_odd
-    return LogDensityValue(log_sum, None, True, boundary)
+    value, boundary = _one_row(config, params)
+    return LogDensityValue(value, None, True, boundary)

@@ -84,6 +84,8 @@ class KappaDistribution:
 
     def __post_init__(self) -> None:
         p = self.params
+        if not all(math.isfinite(x) for x in p):
+            raise ValueError(f"kappa parameters must be finite, got {self.spec()}")
         if self.kind == "point":
             if len(p) != 1 or p[0] <= 0:
                 raise ValueError("point kappa needs a single positive value")
@@ -113,25 +115,29 @@ class KappaDistribution:
     def has_density(self) -> bool:
         return self.kind != "point"
 
-    def density_at(self, x: float) -> float:
-        """Density of kappa at x (0 outside the support)."""
+    def log_pdf(self, x) -> np.ndarray:
+        """Log density of kappa at each x, -inf off the support."""
         if self.kind == "point":
             raise UnsupportedVariantError("point kappa has no density")
+        x = np.asarray(x, dtype=float)
         if self.kind == "uniform":
             lo, hi = self.params
-            return 1.0 / (hi - lo) if lo <= x <= hi else 0.0
+            return np.where((x >= lo) & (x <= hi), -math.log(hi - lo), -np.inf)
         dof, scale = self.params
-        if x <= 0:
-            return 0.0
         y = x / scale
-        log_pdf = (
-            (dof - 1) * math.log(y)
-            - 0.5 * y * y
-            - (0.5 * dof - 1) * math.log(2.0)
-            - math.lgamma(0.5 * dof)
-            - math.log(scale)
-        )
-        return math.exp(log_pdf)
+        log_norm = (0.5 * dof - 1.0) * math.log(2.0) + math.lgamma(0.5 * dof) + math.log(scale)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(y > 0, (dof - 1.0) * np.log(y) - 0.5 * y * y - log_norm, -np.inf)
+
+
+def check_model_params(beta: float, n: int, gamma: float) -> None:
+    """The checks every model parameter set shares: beta > 0, n >= 1, gamma != 0, all finite."""
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not (math.isfinite(gamma) and gamma != 0):
+        raise ValueError(f"gamma must be nonzero and finite, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -144,12 +150,7 @@ class EnsembleParams:
     kappa: KappaDistribution = KappaDistribution("point", (1.0,))
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.gamma == 0:
-            raise ValueError("gamma must be nonzero")
+        check_model_params(self.beta, self.n, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -191,14 +192,17 @@ def chi_sample(stream: RandomStream, dof: float, scale: float = 1.0, size: int |
     return scale * np.sqrt(2.0 * g)
 
 
-def sample_kappa(dist: KappaDistribution, stream: RandomStream) -> float:
+def sample_kappa(dist: KappaDistribution, stream: RandomStream, size: int | None = None):
+    """One kappa draw (a float), or an array of ``size`` draws from the stream."""
     if dist.kind == "point":
-        return dist.params[0]
+        return dist.params[0] if size is None else np.full(size, dist.params[0])
     if dist.kind == "uniform":
         lo, hi = dist.params
-        return float(stream.generator.uniform(lo, hi))
-    dof, scale = dist.params
-    return float(chi_sample(stream, dof, scale))
+        draws = stream.generator.uniform(lo, hi, size)
+    else:
+        dof, scale = dist.params
+        draws = chi_sample(stream, dof, scale, size)
+    return float(draws) if size is None else draws
 
 
 def sample_de_tridiagonal(params: EnsembleParams, stream: RandomStream) -> TridiagonalSample:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import DensityParams, _real_products, normalization_constants
+from .density import DensityParams, _real_products, log_density_batch
 from .ensembles import (
     EnsembleParams,
     KappaDistribution,
@@ -32,6 +32,7 @@ from .ensembles import (
     sample_coupled_trials,
     sample_de_tridiagonal,
     sample_dense_gaussian,
+    sample_kappa,
 )
 from .geronimo_case import gc_forward, gc_inverse
 from .identities import (
@@ -590,85 +591,11 @@ def dense_vs_tridiagonal_test(
 # ordered pair (r1 < r2) or one conjugate pair (x + iy, y > 0).  The
 # admissible real region splits into four pieces indexed by which points
 # sit outside the unit interval; each piece is mapped onto a coordinate
-# rectangle for quadrature and binning.
+# rectangle for quadrature and binning.  The density itself is
+# density.log_density_batch, evaluated on (T, 2) real rows or (T, 1)
+# pair rows, and kappa is drawn by ensembles.sample_kappa.
 
 REGIONS = ("real_both_inside", "real_pos_eigen", "real_neg_eigen", "real_two_eigen", "conj_pair")
-
-
-def _kappa_density_vals(dist: KappaDistribution, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if dist.kind == "uniform":
-        lo, hi = dist.params
-        return np.where((x >= lo) & (x <= hi), 1.0 / (hi - lo), 0.0)
-    if dist.kind == "chi":
-        dof, scale = dist.params
-        y = x / scale
-        out = np.zeros_like(y)
-        pos = y > 0
-        out[pos] = np.exp(
-            (dof - 1.0) * np.log(y[pos])
-            - 0.5 * y[pos] ** 2
-            - (0.5 * dof - 1.0) * math.log(2.0)
-            - math.lgamma(0.5 * dof)
-        ) / scale
-        return out
-    raise UnsupportedVariantError("kappa law has no density to evaluate")
-
-
-def _log_density_real_vec(r1, r2, beta, gamma, dist, log_d) -> np.ndarray:
-    """Joint log density on real pairs, vectorized; -inf where unsupported."""
-    g2 = gamma * gamma
-    ksq = 1.0 - r1 * r2
-    out = np.full(np.shape(r1), -np.inf)
-    ok = ksq > 0
-    if not np.any(ok):
-        return out
-    kap = np.sqrt(ksq[ok])
-    f = _kappa_density_vals(dist, kap)
-    with np.errstate(divide="ignore"):
-        logf = np.where(f > 0, np.log(np.where(f > 0, f, 1.0)), -np.inf)
-        val = (
-            np.log(np.abs(r2[ok] - r1[ok]))
-            + 0.5 * (beta - 2.0) * np.log(ksq[ok])
-            - 0.25 * beta * (r1[ok] ** 2 + r2[ok] ** 2) / g2
-            + 0.5 * beta * ksq[ok] / g2
-            + logf
-            - (beta - 1.0) * np.log(kap)
-            - log_d
-        )
-    out[ok] = val
-    return out
-
-
-def _log_density_pair_vec(x, y, beta, gamma, dist, log_d) -> np.ndarray:
-    """Joint log density at conjugate pairs x +- iy, vectorized.
-
-    The cross factor |1 - z conj(z)'| for the two pair members is
-    |1 - z^2|, and the two per-point modulus factors contribute
-    ((1-|z|^2)/|1-z^2|)^{(beta-2)/2}; their |1 - z^2| parts cancel,
-    leaving (1 - x^2 - y^2)^{(beta-2)/2} in total.
-    """
-    g2 = gamma * gamma
-    ksq = 1.0 - x * x - y * y
-    out = np.full(np.shape(x), -np.inf)
-    ok = ksq > 0
-    if not np.any(ok):
-        return out
-    kap = np.sqrt(ksq[ok])
-    f = _kappa_density_vals(dist, kap)
-    with np.errstate(divide="ignore"):
-        logf = np.where(f > 0, np.log(np.where(f > 0, f, 1.0)), -np.inf)
-        val = (
-            np.log(2.0 * y[ok])
-            + 0.5 * (beta - 2.0) * np.log(ksq[ok])
-            - 0.5 * beta * (x[ok] ** 2 - y[ok] ** 2) / g2
-            + 0.5 * beta * ksq[ok] / g2
-            + logf
-            - (beta - 1.0) * np.log(kap)
-            - log_d
-        )
-    out[ok] = val
-    return out
 
 
 def _region_rect(name: str, radius: float) -> tuple[float, float, float, float]:
@@ -701,56 +628,53 @@ def _region_points(name: str, u, v):
     raise ValueError(f"unknown region {name!r}")
 
 
-def _region_log_density(name: str, u, v, beta, gamma, dist, log_d):
+def _region_log_density(name: str, u, v, params: DensityParams):
+    """Density times the area Jacobian at the region's rectangle coordinates (u, v)."""
     p, q, jac = _region_points(name, u, v)
     if name == "conj_pair":
-        logd = _log_density_pair_vec(p, q, beta, gamma, dist, log_d)
+        pairs = (p + 1j * q).reshape(-1, 1)
+        logd = log_density_batch(np.empty((len(pairs), 0)), pairs, params)
         weight = 2.0  # |dz dconj(z)| = 2 dx dy per pair
     else:
         # regions hold ordered pairs r1 < r2; the 1/L! ordering factor of
         # the measure exactly cancels the two orderings of the same set
-        logd = _log_density_real_vec(p, q, beta, gamma, dist, log_d)
+        reals = np.column_stack([np.ravel(p), np.ravel(q)])
+        logd = log_density_batch(reals, np.empty((len(reals), 0), dtype=complex), params)
         weight = 1.0
     with np.errstate(invalid="ignore"):
-        vals = np.exp(logd) * jac * weight
+        vals = np.exp(logd.reshape(np.shape(p))) * jac * weight
     return np.nan_to_num(vals, nan=0.0, posinf=0.0)
 
 
-def _rect_mass_quadrature(name, rect, beta, gamma, dist, log_d, nodes) -> float:
-    u0, u1, v0, v1 = rect
+def _quadrature_masses(pieces, params: DensityParams, nodes: int) -> list[float]:
+    """Mass of each (region, rectangle) piece under one nodes-point Gauss-Legendre rule."""
     xg, wg = np.polynomial.legendre.leggauss(nodes)
-    un = 0.5 * (u1 - u0) * xg + 0.5 * (u0 + u1)
-    vn = 0.5 * (v1 - v0) * xg + 0.5 * (v0 + v1)
-    wu = 0.5 * (u1 - u0) * wg
-    wv = 0.5 * (v1 - v0) * wg
-    uu, vv = np.meshgrid(un, vn, indexing="ij")
-    vals = _region_log_density(name, uu, vv, beta, gamma, dist, log_d)
-    return float(np.einsum("i,j,ij->", wu, wv, vals))
+    masses = []
+    for name, (u0, u1, v0, v1) in pieces:
+        un = 0.5 * (u1 - u0) * xg + 0.5 * (u0 + u1)
+        vn = 0.5 * (v1 - v0) * xg + 0.5 * (v0 + v1)
+        wu = 0.5 * (u1 - u0) * wg
+        wv = 0.5 * (v1 - v0) * wg
+        uu, vv = np.meshgrid(un, vn, indexing="ij")
+        vals = _region_log_density(name, uu, vv, params)
+        masses.append(float(np.einsum("i,j,ij->", wu, wv, vals)))
+    return masses
 
 
-def _region_mass_quadrature(name, beta, gamma, dist, log_d, radius, nodes) -> float:
-    rect = _region_rect(name, radius)
-    return _rect_mass_quadrature(name, rect, beta, gamma, dist, log_d, nodes)
-
-
-def _tail_mass_quadrature(beta, gamma, dist, log_d, radius, nodes, pad: float = 2.0) -> float:
-    """Mass in the annular extension radius..radius+pad of the unbounded regions.
+def _tail_pieces(radius: float, pad: float = 2.0) -> list:
+    """The annular extension radius..radius+pad of the unbounded regions.
 
     The region maps do not depend on the rectangle bounds, so the tail is
     integrated directly over the extension strips instead of differencing
     two full quadratures (which would mostly measure node placement noise
     when the kappa law has a discontinuous density).
     """
-    pieces = [
+    return [
         ("real_pos_eigen", (radius, radius + pad, 0.0, 1.0)),
         ("real_neg_eigen", (-radius - pad, -radius, 0.0, 1.0)),
         ("real_two_eigen", (-radius - pad, -radius, 1.0, radius + pad)),
         ("real_two_eigen", (-radius, -1.0, radius, radius + pad)),
     ]
-    return sum(
-        _rect_mass_quadrature(name, rect, beta, gamma, dist, log_d, nodes)
-        for name, rect in pieces
-    )
 
 
 def density_normalization_n1(
@@ -769,13 +693,11 @@ def density_normalization_n1(
     """
     dist = kappa_dist or KappaDistribution("chi", (3.0, 0.5))
     params = DensityParams(beta, 1, gamma, dist)
-    log_d = normalization_constants(params).log_d_even
-    masses = {
-        name: _region_mass_quadrature(name, beta, gamma, dist, log_d, radius, nodes)
-        for name in REGIONS
-    }
+    regions = [(name, _region_rect(name, radius)) for name in REGIONS]
+    pieces = _quadrature_masses(regions + _tail_pieces(radius), params, nodes)
+    masses = dict(zip(REGIONS, pieces))
     total = sum(masses.values())
-    tail = _tail_mass_quadrature(beta, gamma, dist, log_d, radius, nodes)
+    tail = sum(pieces[len(REGIONS) :])
     stats = {f"mass_{name}": m for name, m in masses.items()}
     stats.update({"total": total, "tail_estimate": tail, "radius": radius, "nodes": nodes})
     return ExperimentReport(
@@ -788,16 +710,6 @@ def density_normalization_n1(
     )
 
 
-def _sample_kappa_array(dist: KappaDistribution, gen: np.random.Generator, size: int):
-    if dist.kind == "point":
-        return np.full(size, dist.params[0])
-    if dist.kind == "uniform":
-        lo, hi = dist.params
-        return gen.uniform(lo, hi, size)
-    dof, scale = dist.params
-    return scale * np.sqrt(2.0 * gen.standard_gamma(0.5 * dof, size))
-
-
 def _mc_chunk_n1(args):
     """Vectorized n=1 pipeline for one chunk: returns real pairs and conj pairs.
 
@@ -808,9 +720,9 @@ def _mc_chunk_n1(args):
     tests).
     """
     beta, gamma, dist, seed, index, size = args
-    gen = RandomStream(seed).substream(index).generator
-    s = gen.normal(0.0, math.sqrt(2.0 / beta), size)
-    kap = _sample_kappa_array(dist, gen, size)
+    stream = RandomStream(seed).substream(index)
+    s = stream.generator.normal(0.0, math.sqrt(2.0 / beta), size)
+    kap = sample_kappa(dist, stream, size)
     b = gamma * s
     disc = b * b - 4.0 * (1.0 - kap * kap)
     real = disc >= 0
@@ -834,7 +746,7 @@ def _equal_mass_edges(cum: np.ndarray, pieces: int) -> np.ndarray:
     return edges
 
 
-def _bin_region(name, beta, gamma, dist, log_d, radius, trials, max_pieces, samples_uv):
+def _bin_region(name, params, radius, trials, max_pieces, samples_uv):
     """Equal-mass 2d binning of one region: expected masses and counts.
 
     A fine midpoint grid supplies both the expected bin masses and the
@@ -851,7 +763,7 @@ def _bin_region(name, beta, gamma, dist, log_d, radius, trials, max_pieces, samp
     uc = u0 + (np.arange(FINE_GRID) + 0.5) * du
     vc = v0 + (np.arange(FINE_GRID) + 0.5) * dv
     uu, vv = np.meshgrid(uc, vc, indexing="ij")
-    cells = _region_log_density(name, uu, vv, beta, gamma, dist, log_d) * (du * dv)
+    cells = _region_log_density(name, uu, vv, params) * (du * dv)
 
     region_mass = float(cells.sum())
     pieces = int(math.sqrt(max(region_mass * trials / BIN_TARGET_COUNT, 1.0)))
@@ -938,7 +850,6 @@ def density_mc_compare_n1(
     if not kappa_dist.has_density:
         raise ValueError("kappa must have a density for the comparison")
     params = DensityParams(beta, 1, gamma, kappa_dist)
-    log_d = normalization_constants(params).log_d_even
 
     sizes = [MC_CHUNK] * (trials // MC_CHUNK)
     if trials % MC_CHUNK:
@@ -957,9 +868,7 @@ def density_mc_compare_n1(
     unbinned = 0
     expected_mass = 0.0
     for name in REGIONS:
-        expected, counts, extra = _bin_region(
-            name, beta, gamma, kappa_dist, log_d, radius, trials, bins, region_uv[name]
-        )
+        expected, counts, extra = _bin_region(name, params, radius, trials, bins, region_uv[name])
         unbinned += extra
         bins_total += len(expected)
         expected_mass += float(expected.sum())
@@ -970,11 +879,8 @@ def density_mc_compare_n1(
             max_rel_dev = max(max_rel_dev, float(np.max(dev)))
 
     real_frac = len(real_pairs) / trials
-    real_mass = sum(
-        _region_mass_quadrature(name, beta, gamma, kappa_dist, log_d, radius, QUAD_NODES)
-        for name in REGIONS
-        if name != "conj_pair"
-    )
+    real_regions = [(name, _region_rect(name, radius)) for name in REGIONS if name != "conj_pair"]
+    real_mass = sum(_quadrature_masses(real_regions, params, QUAD_NODES))
     sigma = math.sqrt(max(real_mass * (1.0 - real_mass), 1e-12) / trials)
     split_dev = abs(real_frac - real_mass)
 

@@ -14,6 +14,7 @@ the polynomial route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,11 @@ class JacobiCoefficients:
         if len(self.a) == 0:
             raise ValueError("need at least one coefficient pair")
         for j, x in enumerate(self.a):
-            if not x > 0:
-                raise ValueError(f"a[{j}] = {x} must be positive")
+            if not 0 < x < math.inf:
+                raise ValueError(f"a[{j}] = {x} must be {'positive' if x <= 0 else 'finite'}")
+        for j, x in enumerate(self.b):
+            if not -math.inf < x < math.inf:
+                raise ValueError(f"b[{j}] = {x} must be finite")
 
     @property
     def n(self) -> int:
@@ -95,9 +99,9 @@ def coupled_coefficients(
 
     Row i is the coupled operator of the block with diagonal s[i] and
     off-diagonal t[i] at coupling kappa[i].  The checks of
-    TridiagonalSample, assemble_coupled and JacobiCoefficients run on the
-    arrays; a row that fails one maps to the ValueError the single-block
-    route raises, in failures.
+    TridiagonalSample, assemble_coupled and JacobiCoefficients (a > 0,
+    every a and b finite) run on the arrays; a row that fails one maps to
+    the ValueError the single-block route raises, in failures.
     """
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
@@ -108,10 +112,12 @@ def coupled_coefficients(
         failures[i] = ValueError("off-diagonal entries must be nonnegative")
     for i in np.flatnonzero(~(kappa > 0)):
         failures.setdefault(i, ValueError("kappa must be positive"))
-    bad = ~(a > 0)
-    for i in np.flatnonzero(bad.any(axis=1)):
-        j = int(np.argmax(bad[i]))
-        failures.setdefault(i, ValueError(f"a[{j}] = {float(a[i, j])} must be positive"))
+    for name, values, bad in (("a", a, ~np.isfinite(a) | (a <= 0)), ("b", b, ~np.isfinite(b))):
+        for i in np.flatnonzero(bad.any(axis=1)):
+            j = int(np.argmax(bad[i]))
+            x = float(values[i, j])
+            rule = "positive" if name == "a" and x <= 0 else "finite"
+            failures.setdefault(i, ValueError(f"{name}[{j}] = {x} must be {rule}"))
     return a, b, failures
 
 

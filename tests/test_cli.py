@@ -243,3 +243,35 @@ def test_dump_writes_non_finite_residuals_as_null():
     assert cli._dump(rec) == '{"clause": "count", "in_S": false, "kappa_check_residual": null, "trial": 3}'
     assert cli._dump({"zeros": [[math.nan, 0.0, "resonance"]]}) == '{"zeros": [[null, 0.0, "resonance"]]}'
     assert cli._dump({"kappa_check_residual": 1e-15}) == '{"kappa_check_residual": 1e-15}'
+
+
+@pytest.mark.parametrize("spec", ["point:nan", "chi:nan:1", "chi:3:nan", "point:inf", "uniform:0.5:inf"])
+def test_non_finite_kappa_is_a_usage_error(capsys, spec):
+    assert cli.main(["sample", "--kappa", spec, "--trials", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: kappa parameters must be finite")
+
+
+@pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--beta", "inf"), ("--gamma", "nan"), ("--gamma", "inf")])
+def test_non_finite_model_parameters_are_usage_errors(capsys, tmp_path, flag, value):
+    points = tmp_path / "points.json"
+    points.write_text('{"points": [[4.0, 0.0], [-2.0, 0.0]]}')
+    for argv in (["density", "eval", "--input", str(points)], ["sample", "--trials", "2"]):
+        assert cli.main([*argv, flag, value]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "finite" in out.err
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ("2", "inf", "b[0] = inf must be finite"),
+        ("inf", "0", "a[0] = inf must be finite"),
+        ("2", "nan", "b[0] = nan must be finite"),
+    ],
+)
+def test_spectrum_names_a_non_finite_coefficient(capsys, a, b, message):
+    assert cli.main(["spectrum", "--a", a, "--b", b]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from openrmt import (
+    DensityParams,
     EnsembleParams,
     KappaDistribution,
     RandomStream,
@@ -68,13 +69,13 @@ def test_point_kappa_has_no_density():
     dist = KappaDistribution("point", (1.0,))
     assert not dist.has_density
     with pytest.raises(UnsupportedVariantError):
-        dist.density_at(1.0)
+        dist.log_pdf(1.0)
 
 
 def test_kappa_densities_integrate_to_one():
     xs = np.linspace(1e-6, 30.0, 400001)
     for dist in (KappaDistribution("uniform", (0.5, 5.0)), KappaDistribution("chi", (3.0, 0.5))):
-        vals = np.array([dist.density_at(float(x)) for x in xs])
+        vals = np.exp(dist.log_pdf(xs))
         total = np.trapezoid(vals, xs)
         assert abs(total - 1.0) < 1e-6
 
@@ -176,3 +177,45 @@ def test_ensemble_params_validation():
         EnsembleParams(2.0, 0)
     with pytest.raises(ValueError):
         EnsembleParams(2.0, 3, 0.0)
+
+
+@pytest.mark.parametrize("spec", ["point:nan", "chi:nan:1", "chi:3:nan", "point:inf", "uniform:0.5:inf"])
+def test_kappa_spec_rejects_non_finite_parameters(spec):
+    with pytest.raises(ValueError, match="must be finite"):
+        KappaDistribution.from_spec(spec)
+
+
+@pytest.mark.parametrize("beta, gamma", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, -math.inf)])
+def test_model_parameters_must_be_finite(beta, gamma):
+    with pytest.raises(ValueError, match="finite"):
+        EnsembleParams(beta, 3, gamma)
+    with pytest.raises(ValueError, match="finite"):
+        DensityParams(beta, 3, gamma)
+
+
+def test_kappa_log_pdf_is_minus_inf_off_the_support():
+    xs = np.array([-1.0, 0.0, 0.4, 0.5, 2.0, 5.0, 5.5])
+    uniform = KappaDistribution("uniform", (0.5, 5.0)).log_pdf(xs)
+    assert np.array_equal(np.isfinite(uniform), [False, False, False, True, True, True, False])
+    assert np.all(uniform[np.isfinite(uniform)] == -math.log(4.5))
+    chi = KappaDistribution("chi", (3.0, 0.5)).log_pdf(xs)
+    assert np.array_equal(np.isfinite(chi), [False, False, True, True, True, True, True])
+    assert abs(chi[4] - (2.0 * math.log(4.0) - 8.0 - 0.5 * math.log(2.0) - math.lgamma(1.5) - math.log(0.5))) < 1e-13
+
+
+def test_sample_kappa_arrays_are_the_generator_draws():
+    for dist in (
+        KappaDistribution("point", (1.3,)),
+        KappaDistribution("uniform", (0.5, 2.0)),
+        KappaDistribution("chi", (3.0, 0.5)),
+    ):
+        draws = sample_kappa(dist, RandomStream(SEED, 9), 64)
+        gen = RandomStream(SEED, 9).generator
+        if dist.kind == "point":
+            expected = np.full(64, 1.3)
+        elif dist.kind == "uniform":
+            expected = gen.uniform(0.5, 2.0, 64)
+        else:
+            expected = 0.5 * np.sqrt(2.0 * gen.standard_gamma(1.5, 64))
+        assert draws.shape == (64,)
+        assert np.array_equal(draws, expected)

@@ -17,23 +17,18 @@ from openrmt import (
     identity_suite,
     jacobian_suite,
     ks_test,
+    log_density_batch,
     log_density_random_kappa,
     membership_suite,
-    normalization_constants,
     polynomial_roots,
     random_coefficients,
     roundtrip_suite,
+    sample_kappa,
     run_resonance_sampling,
     semicircle_moment_test,
     sum_zeros_test,
 )
-from openrmt.experiments import (
-    _equal_mass_edges,
-    _log_density_pair_vec,
-    _log_density_real_vec,
-    _mc_chunk_n1,
-    _sample_kappa_array,
-)
+from openrmt.experiments import _equal_mass_edges, _mc_chunk_n1
 from openrmt.geronimo_case import RealPolynomial
 
 SEED = 57721
@@ -143,7 +138,6 @@ def test_vectorized_density_matches_scalar_real_pairs():
     gen = np.random.default_rng(SEED)
     for beta in (1.0, 2.0):
         params = DensityParams(beta, 1, 1.0, CHI)
-        log_d = normalization_constants(params).log_d_even
         worst = 0.0
         checked = 0
         for _ in range(300):
@@ -151,9 +145,7 @@ def test_vectorized_density_matches_scalar_real_pairs():
             r2 = float(gen.uniform(r1 + 0.05, 4.0))
             if min(abs(r1 - 1), abs(r1 + 1), abs(r2 - 1), abs(r2 + 1)) < 1e-3:
                 continue
-            vec = _log_density_real_vec(
-                np.array([r1]), np.array([r2]), beta, 1.0, CHI, log_d
-            )[0]
+            vec = log_density_batch(np.array([[r1, r2]]), np.empty((1, 0)), params)[0]
             config = SpectrumConfiguration((complex(r1), complex(r2)))
             ref = log_density_random_kappa(config, params)
             if ref.in_support:
@@ -167,12 +159,11 @@ def test_vectorized_density_matches_scalar_pairs():
     gen = np.random.default_rng(SEED + 1)
     for beta in (1.0, 2.0):
         params = DensityParams(beta, 1, 1.0, CHI)
-        log_d = normalization_constants(params).log_d_even
         worst = 0.0
         for _ in range(300):
             x = float(gen.uniform(-0.95, 0.95))
             y = float(gen.uniform(0.05, math.sqrt(1.0 - x * x) - 1e-9))
-            vec = _log_density_pair_vec(np.array([x]), np.array([y]), beta, 1.0, CHI, log_d)[0]
+            vec = log_density_batch(np.empty((1, 0)), np.array([[complex(x, y)]]), params)[0]
             config = SpectrumConfiguration((complex(x, -y), complex(x, y)))
             ref = log_density_random_kappa(config, params)
             assert ref.in_support
@@ -182,9 +173,9 @@ def test_vectorized_density_matches_scalar_pairs():
 
 def test_vectorized_sampler_matches_polynomial_route():
     real_pairs, conj_pairs = _mc_chunk_n1((2.0, 1.0, CHI, SEED, 0, 128))
-    gen = RandomStream(SEED).substream(0).generator
-    s = gen.normal(0.0, 1.0, 128)
-    kap = _sample_kappa_array(CHI, gen, 128)
+    stream = RandomStream(SEED).substream(0)
+    s = stream.generator.normal(0.0, 1.0, 128)
+    kap = sample_kappa(CHI, stream, 128)
     nreal = npair = 0
     worst = 0.0
     for i in range(128):

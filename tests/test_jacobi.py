@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from openrmt import (
     tridiag_eigenvalues,
     truncate,
 )
+from openrmt.jacobi import coupled_coefficients
 
 SEED = 314159
 
@@ -108,3 +110,28 @@ def test_outside_band_respects_margin():
     # weak perturbation: no point spectrum beyond the margin
     coeffs = JacobiCoefficients((1.01,), (0.0,))
     assert len(eigenvalues_outside_band(coeffs, size=800, margin=0.05)) == 0
+
+
+def test_coefficients_name_a_non_finite_entry():
+    for a, b, message in (
+        ((2.0,), (math.inf,), "b[0] = inf must be finite"),
+        ((math.inf,), (0.0,), "a[0] = inf must be finite"),
+        ((math.nan,), (0.0,), "a[0] = nan must be finite"),
+        ((2.0, 1.0), (0.0, -math.inf), "b[1] = -inf must be finite"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JacobiCoefficients(a, b)
+
+
+def test_coupled_coefficients_report_entries_like_the_single_check():
+    s = np.array([[0.1, 0.2], [-np.inf, 0.0], [0.3, np.nan], [0.1, 0.1]])
+    t = np.array([[0.5], [0.5], [np.inf], [0.0]])
+    a, b, failures = coupled_coefficients(s, t, 1.0, np.full(4, 0.7))
+    assert sorted(failures) == [1, 2, 3]
+    for i, exc in failures.items():
+        with pytest.raises(ValueError) as single:
+            JacobiCoefficients(tuple(a[i].tolist()), tuple(b[i].tolist()))
+        assert str(exc) == str(single.value)
+    assert str(failures[1]) == "b[1] = -inf must be finite"
+    assert str(failures[2]) == "a[0] = inf must be finite"
+    assert str(failures[3]) == "a[0] = 0.0 must be positive"
