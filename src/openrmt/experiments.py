@@ -590,47 +590,46 @@ def dense_vs_tridiagonal_test(
 # n = 1 density machinery: the two-point configuration is either a real
 # ordered pair (r1 < r2) or one conjugate pair (x + iy, y > 0).  The
 # admissible real region splits into four pieces indexed by which points
-# sit outside the unit interval; each piece is mapped onto a coordinate
-# rectangle for quadrature and binning.  The density itself is
-# density.log_density_batch, evaluated on (T, 2) real rows or (T, 1)
-# pair rows, and kappa is drawn by ensembles.sample_kappa.
-
-REGIONS = ("real_both_inside", "real_pos_eigen", "real_neg_eigen", "real_two_eigen", "conj_pair")
-
-
-def _region_rect(name: str, radius: float) -> tuple[float, float, float, float]:
-    if name == "real_both_inside":
-        return (-1.0, 1.0, 0.0, 1.0)
-    if name == "real_pos_eigen":
-        return (1.0, radius, 0.0, 1.0)
-    if name == "real_neg_eigen":
-        return (-radius, -1.0, 0.0, 1.0)
-    if name == "real_two_eigen":
-        return (-radius, -1.0, 1.0, radius)
-    if name == "conj_pair":
-        return (-1.0, 1.0, 0.0, 1.0)
-    raise ValueError(f"unknown region {name!r}")
+# sit outside the unit interval; with the conjugate-pair half disk these
+# are the five entries of _REGIONS.  Each region is fibred over one
+# coordinate u (r1, r2 or x) with the other coordinate on (lo(u), hi(u)),
+# so other = lo + v (hi - lo) maps a rectangle in (u, v) onto it with
+# area Jacobian hi - lo, for quadrature and binning alike.  The density
+# itself is density.log_density_batch, evaluated on (T, 2) real rows or
+# (T, 1) pair rows, and kappa is drawn by ensembles.sample_kappa.
 
 
-def _region_points(name: str, u, v):
-    """Map rectangle coordinates (u, v) to points and the area Jacobian."""
-    if name == "real_both_inside":
-        return u, u + v * (1.0 - u), 1.0 - u
-    if name == "real_pos_eigen":
-        return -1.0 + v * (1.0 / u + 1.0), u, 1.0 / u + 1.0
-    if name == "real_neg_eigen":
-        return u, 1.0 / u + v * (1.0 - 1.0 / u), 1.0 - 1.0 / u
-    if name == "real_two_eigen":
-        return u, v, np.ones_like(u)
-    if name == "conj_pair":
-        width = np.sqrt(1.0 - u * u)
-        return u, v * width, width
-    raise ValueError(f"unknown region {name!r}")
+# name: (rectangle (u0, u1, v0, v1) at radius R, whether u is the first
+# coordinate r1 or x (else u is r2), fibre (lo(u), hi(u)) of the other)
+_REGIONS = {
+    "real_both_inside": (lambda R: (-1.0, 1.0, 0.0, 1.0), True, lambda u: (u, 1.0)),
+    "real_pos_eigen": (lambda R: (1.0, R, 0.0, 1.0), False, lambda u: (-1.0, 1.0 / u)),
+    "real_neg_eigen": (lambda R: (-R, -1.0, 0.0, 1.0), True, lambda u: (1.0 / u, 1.0)),
+    "real_two_eigen": (lambda R: (-R, -1.0, 1.0, R), True, lambda u: (0.0, 1.0)),
+    "conj_pair": (lambda R: (-1.0, 1.0, 0.0, 1.0), True, lambda u: (0.0, np.sqrt(1.0 - u * u))),
+}
+REGIONS = tuple(_REGIONS)
+
+
+def _region_forward(name: str, u, v):
+    """Map rectangle coordinates (u, v) to the two coordinates and the area Jacobian."""
+    _, u_first, fibre = _REGIONS[name]
+    lo, hi = fibre(u)
+    other = lo + v * (hi - lo)
+    return (u, other, hi - lo) if u_first else (other, u, hi - lo)
+
+
+def _region_inverse(name: str, first, second) -> np.ndarray:
+    """Rectangle coordinates (u, v), one row per point given by its two coordinates."""
+    _, u_first, fibre = _REGIONS[name]
+    u, other = (first, second) if u_first else (second, first)
+    lo, hi = fibre(u)
+    return np.column_stack([u, (other - lo) / (hi - lo)])
 
 
 def _region_log_density(name: str, u, v, params: DensityParams):
     """Density times the area Jacobian at the region's rectangle coordinates (u, v)."""
-    p, q, jac = _region_points(name, u, v)
+    p, q, jac = _region_forward(name, u, v)
     if name == "conj_pair":
         pairs = (p + 1j * q).reshape(-1, 1)
         logd = log_density_batch(np.empty((len(pairs), 0)), pairs, params)
@@ -646,9 +645,9 @@ def _region_log_density(name: str, u, v, params: DensityParams):
     return np.nan_to_num(vals, nan=0.0, posinf=0.0)
 
 
-def _quadrature_masses(pieces, params: DensityParams, nodes: int) -> list[float]:
-    """Mass of each (region, rectangle) piece under one nodes-point Gauss-Legendre rule."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+def _quadrature_masses(pieces, params: DensityParams) -> list[float]:
+    """Mass of each (region, rectangle) piece under one QUAD_NODES-point Gauss-Legendre rule."""
+    xg, wg = np.polynomial.legendre.leggauss(QUAD_NODES)
     masses = []
     for name, (u0, u1, v0, v1) in pieces:
         un = 0.5 * (u1 - u0) * xg + 0.5 * (u0 + u1)
@@ -661,8 +660,13 @@ def _quadrature_masses(pieces, params: DensityParams, nodes: int) -> list[float]
     return masses
 
 
-def _tail_pieces(radius: float, pad: float = 2.0) -> list:
-    """The annular extension radius..radius+pad of the unbounded regions.
+def _rects(radius: float, names=REGIONS) -> list:
+    """(name, rectangle at radius) for each named region."""
+    return [(name, _REGIONS[name][0](radius)) for name in names]
+
+
+def _tail_pieces(radius: float) -> list:
+    """The annular extension radius..radius+2 of the unbounded regions.
 
     The region maps do not depend on the rectangle bounds, so the tail is
     integrated directly over the extension strips instead of differencing
@@ -670,10 +674,10 @@ def _tail_pieces(radius: float, pad: float = 2.0) -> list:
     when the kappa law has a discontinuous density).
     """
     return [
-        ("real_pos_eigen", (radius, radius + pad, 0.0, 1.0)),
-        ("real_neg_eigen", (-radius - pad, -radius, 0.0, 1.0)),
-        ("real_two_eigen", (-radius - pad, -radius, 1.0, radius + pad)),
-        ("real_two_eigen", (-radius, -1.0, radius, radius + pad)),
+        ("real_pos_eigen", (radius, radius + 2.0, 0.0, 1.0)),
+        ("real_neg_eigen", (-radius - 2.0, -radius, 0.0, 1.0)),
+        ("real_two_eigen", (-radius - 2.0, -radius, 1.0, radius + 2.0)),
+        ("real_two_eigen", (-radius, -1.0, radius, radius + 2.0)),
     ]
 
 
@@ -682,7 +686,6 @@ def density_normalization_n1(
     gamma: float = 1.0,
     kappa_dist: KappaDistribution | None = None,
     radius: float = DEFAULT_RADIUS,
-    nodes: int = QUAD_NODES,
 ) -> ExperimentReport:
     """Quadrature of the closed-form two-point density over its support.
 
@@ -693,13 +696,12 @@ def density_normalization_n1(
     """
     dist = kappa_dist or KappaDistribution("chi", (3.0, 0.5))
     params = DensityParams(beta, 1, gamma, dist)
-    regions = [(name, _region_rect(name, radius)) for name in REGIONS]
-    pieces = _quadrature_masses(regions + _tail_pieces(radius), params, nodes)
+    pieces = _quadrature_masses(_rects(radius) + _tail_pieces(radius), params)
     masses = dict(zip(REGIONS, pieces))
     total = sum(masses.values())
     tail = sum(pieces[len(REGIONS) :])
     stats = {f"mass_{name}": m for name, m in masses.items()}
-    stats.update({"total": total, "tail_estimate": tail, "radius": radius, "nodes": nodes})
+    stats.update({"total": total, "tail_estimate": tail, "radius": radius, "nodes": QUAD_NODES})
     return ExperimentReport(
         name="density_normalization",
         trials=0,
@@ -746,18 +748,20 @@ def _equal_mass_edges(cum: np.ndarray, pieces: int) -> np.ndarray:
     return edges
 
 
-def _bin_region(name, params, radius, trials, max_pieces, samples_uv):
-    """Equal-mass 2d binning of one region: expected masses and counts.
+def _bin_region(name, rect, params, trials, max_pieces, samples_uv):
+    """Equal-mass 2d binning of one region: expected masses, counts, unbinned samples.
 
-    A fine midpoint grid supplies both the expected bin masses and the
-    quantile edges; edges snap to grid lines so expectations are exact
-    sums of fine cells.  The number of bins per axis adapts to the region
-    mass so every bin targets roughly BIN_TARGET_COUNT expected samples;
-    at that count the per-bin Poisson noise sits near 2 percent and a
-    3.5 sigma outlier still clears a 10 percent tolerance.  samples_uv
-    are the samples already mapped to the region rectangle.
+    A fine midpoint grid over the rectangle supplies the quantile edges
+    (equal-mass strips in u, each cut into equal-mass pieces in v, on
+    grid lines) and labels every fine cell with its bin, so one bincount
+    of the cells gives the expected masses and one of the samples' cells
+    the counts.  The number of bins per axis adapts to the region mass so
+    every bin targets roughly BIN_TARGET_COUNT expected samples; at that
+    count the per-bin Poisson noise sits near 2 percent and a 3.5 sigma
+    outlier still clears a 10 percent tolerance.  samples_uv are the
+    samples already mapped to rectangle coordinates.
     """
-    u0, u1, v0, v1 = _region_rect(name, radius)
+    u0, u1, v0, v1 = rect
     du = (u1 - u0) / FINE_GRID
     dv = (v1 - v0) / FINE_GRID
     uc = u0 + (np.arange(FINE_GRID) + 0.5) * du
@@ -768,60 +772,37 @@ def _bin_region(name, params, radius, trials, max_pieces, samples_uv):
     region_mass = float(cells.sum())
     pieces = int(math.sqrt(max(region_mass * trials / BIN_TARGET_COUNT, 1.0)))
     pieces = max(1, min(pieces, max_pieces))
-    u_edges_idx = _equal_mass_edges(np.cumsum(cells.sum(axis=1)), pieces)
-    expected = []
-    bins_of = np.full(len(samples_uv), -1)
-    if len(samples_uv):
-        su = np.clip(((samples_uv[:, 0] - u0) / du).astype(int), 0, FINE_GRID - 1)
-        sv = np.clip(((samples_uv[:, 1] - v0) / dv).astype(int), 0, FINE_GRID - 1)
-        in_rect = (
-            (samples_uv[:, 0] >= u0)
-            & (samples_uv[:, 0] < u1)
-            & (samples_uv[:, 1] >= v0)
-            & (samples_uv[:, 1] < v1)
-        )
-    counts = []
-    for si in range(len(u_edges_idx) - 1):
-        lo_u, hi_u = u_edges_idx[si], u_edges_idx[si + 1]
-        strip = cells[lo_u:hi_u]
-        v_edges_idx = _equal_mass_edges(np.cumsum(strip.sum(axis=0)), pieces)
-        if len(samples_uv):
-            in_strip = in_rect & (su >= lo_u) & (su < hi_u)
-        for vi in range(len(v_edges_idx) - 1):
-            lo_v, hi_v = v_edges_idx[vi], v_edges_idx[vi + 1]
-            expected.append(float(strip[:, lo_v:hi_v].sum()))
-            if len(samples_uv):
-                counts.append(int(np.sum(in_strip & (sv >= lo_v) & (sv < hi_v))))
-            else:
-                counts.append(0)
-    unbinned = int(np.sum(~in_rect)) if len(samples_uv) else 0
-    return np.array(expected), np.array(counts), unbinned
+    grid = np.arange(FINE_GRID)
+    label = np.full(cells.shape, -1)  # -1: the cell is in no bin
+    bins = 0
+    u_edges = _equal_mass_edges(np.cumsum(cells.sum(axis=1)), pieces)
+    for lo, hi in zip(u_edges[:-1], u_edges[1:]):
+        v_edges = _equal_mass_edges(np.cumsum(cells[lo:hi].sum(axis=0)), pieces)
+        in_bin = grid < v_edges[-1]
+        label[lo:hi] = np.where(in_bin, bins + np.searchsorted(v_edges, grid, "right") - 1, -1)
+        bins += len(v_edges) - 1
+    expected = np.bincount(label.ravel() + 1, cells.ravel(), bins + 1)[1:]
+
+    u, v = samples_uv.T
+    in_rect = (u >= u0) & (u < u1) & (v >= v0) & (v < v1)
+    su = np.clip(((u[in_rect] - u0) / du).astype(int), 0, FINE_GRID - 1)
+    sv = np.clip(((v[in_rect] - v0) / dv).astype(int), 0, FINE_GRID - 1)
+    counts = np.bincount(label[su, sv] + 1, minlength=bins + 1)[1:]
+    return expected, counts, len(u) - int(in_rect.sum())
 
 
 def _samples_to_region_uv(real_pairs: np.ndarray, conj_pairs: np.ndarray):
     """Split samples by region and map them to rectangle coordinates."""
-    out = {}
-    r1, r2 = real_pairs[:, 0], real_pairs[:, 1]
+    r1, r2 = real_pairs.T
+    masks = {
+        "real_both_inside": (r1 > -1.0) & (r2 < 1.0),
+        "real_pos_eigen": (r1 > -1.0) & (r2 > 1.0),
+        "real_neg_eigen": (r1 < -1.0) & (r2 < 1.0),
+        "real_two_eigen": (r1 < -1.0) & (r2 > 1.0),
+    }
     with np.errstate(divide="ignore", invalid="ignore"):
-        masks = {
-            "real_both_inside": (r1 > -1.0) & (r2 < 1.0),
-            "real_pos_eigen": (r1 > -1.0) & (r2 > 1.0),
-            "real_neg_eigen": (r1 < -1.0) & (r2 < 1.0),
-            "real_two_eigen": (r1 < -1.0) & (r2 > 1.0),
-        }
-        for name, mask in masks.items():
-            a, b = r1[mask], r2[mask]
-            if name == "real_both_inside":
-                uv = np.column_stack([a, (b - a) / (1.0 - a)])
-            elif name == "real_pos_eigen":
-                uv = np.column_stack([b, (a + 1.0) / (1.0 / b + 1.0)])
-            elif name == "real_neg_eigen":
-                uv = np.column_stack([a, (b - 1.0 / a) / (1.0 - 1.0 / a)])
-            else:
-                uv = np.column_stack([a, b])
-            out[name] = uv
-        x, y = conj_pairs[:, 0], conj_pairs[:, 1]
-        out["conj_pair"] = np.column_stack([x, y / np.sqrt(1.0 - x * x)])
+        out = {name: _region_inverse(name, r1[mask], r2[mask]) for name, mask in masks.items()}
+        out["conj_pair"] = _region_inverse("conj_pair", *conj_pairs.T)
     return out
 
 
@@ -867,8 +848,8 @@ def density_mc_compare_n1(
     bins_total = 0
     unbinned = 0
     expected_mass = 0.0
-    for name in REGIONS:
-        expected, counts, extra = _bin_region(name, params, radius, trials, bins, region_uv[name])
+    for name, rect in _rects(radius):
+        expected, counts, extra = _bin_region(name, rect, params, trials, bins, region_uv[name])
         unbinned += extra
         bins_total += len(expected)
         expected_mass += float(expected.sum())
@@ -879,8 +860,7 @@ def density_mc_compare_n1(
             max_rel_dev = max(max_rel_dev, float(np.max(dev)))
 
     real_frac = len(real_pairs) / trials
-    real_regions = [(name, _region_rect(name, radius)) for name in REGIONS if name != "conj_pair"]
-    real_mass = sum(_quadrature_masses(real_regions, params, QUAD_NODES))
+    real_mass = sum(_quadrature_masses(_rects(radius, REGIONS[:-1]), params))
     sigma = math.sqrt(max(real_mass * (1.0 - real_mass), 1e-12) / trials)
     split_dev = abs(real_frac - real_mass)
 
