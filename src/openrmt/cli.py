@@ -227,6 +227,7 @@ def cmd_density(args) -> int:
             args.seed,
             bins=args.bins,
             workers=args.workers,
+            radius=args.radius,
         )
         with _open_out(args.out) as fh:
             fh.write(_dump(report.to_dict()) + "\n")
@@ -251,7 +252,7 @@ def cmd_density(args) -> int:
         "gamma": args.gamma,
         "kappa": kappa.spec(),
         "log_density": value.log_value if math.isfinite(value.log_value) else None,
-        "density": math.exp(value.log_value) if math.isfinite(value.log_value) else 0.0,
+        "density": math.exp(value.log_value) if value.log_value < math.inf else None,
         "kappa_implied": value.kappa_implied,
         "in_support": value.in_support,
         "boundary": value.boundary,

@@ -660,9 +660,9 @@ def _quadrature_masses(pieces, params: DensityParams) -> list[float]:
     return masses
 
 
-def _rects(radius: float, names=REGIONS) -> list:
-    """(name, rectangle at radius) for each named region."""
-    return [(name, _REGIONS[name][0](radius)) for name in names]
+def _rects(radius: float) -> list:
+    """(name, rectangle at radius) for each region."""
+    return [(name, rect(radius)) for name, (rect, _, _) in _REGIONS.items()]
 
 
 def _tail_pieces(radius: float) -> list:
@@ -738,14 +738,15 @@ def _mc_chunk_n1(args):
 
 
 def _equal_mass_edges(cum: np.ndarray, pieces: int) -> np.ndarray:
-    """Indices into a cumulative-mass array splitting it into equal pieces."""
+    """Cut points 0 = e_0 < ... < e_k = len(cum) splitting a cumulative mass into equal pieces.
+
+    Piece j holds the half-open index range [e_j, e_{j+1}).
+    """
     total = cum[-1]
     if total <= 0:
-        return np.array([0, len(cum) - 1])
+        return np.array([0, len(cum)])
     targets = total * np.arange(1, pieces) / pieces
-    idx = np.searchsorted(cum, targets)
-    edges = np.unique(np.concatenate([[0], idx, [len(cum) - 1]]))
-    return edges
+    return np.unique(np.concatenate([[0], np.searchsorted(cum, targets), [len(cum)]]))
 
 
 def _bin_region(name, rect, params, trials, max_pieces, samples_uv):
@@ -773,21 +774,20 @@ def _bin_region(name, rect, params, trials, max_pieces, samples_uv):
     pieces = int(math.sqrt(max(region_mass * trials / BIN_TARGET_COUNT, 1.0)))
     pieces = max(1, min(pieces, max_pieces))
     grid = np.arange(FINE_GRID)
-    label = np.full(cells.shape, -1)  # -1: the cell is in no bin
+    label = np.empty(cells.shape, dtype=int)
     bins = 0
     u_edges = _equal_mass_edges(np.cumsum(cells.sum(axis=1)), pieces)
     for lo, hi in zip(u_edges[:-1], u_edges[1:]):
         v_edges = _equal_mass_edges(np.cumsum(cells[lo:hi].sum(axis=0)), pieces)
-        in_bin = grid < v_edges[-1]
-        label[lo:hi] = np.where(in_bin, bins + np.searchsorted(v_edges, grid, "right") - 1, -1)
+        label[lo:hi] = bins + np.searchsorted(v_edges, grid, "right") - 1
         bins += len(v_edges) - 1
-    expected = np.bincount(label.ravel() + 1, cells.ravel(), bins + 1)[1:]
+    expected = np.bincount(label.ravel(), cells.ravel(), bins)
 
     u, v = samples_uv.T
     in_rect = (u >= u0) & (u < u1) & (v >= v0) & (v < v1)
     su = np.clip(((u[in_rect] - u0) / du).astype(int), 0, FINE_GRID - 1)
     sv = np.clip(((v[in_rect] - v0) / dv).astype(int), 0, FINE_GRID - 1)
-    counts = np.bincount(label[su, sv] + 1, minlength=bins + 1)[1:]
+    counts = np.bincount(label[su, sv], minlength=bins)
     return expected, counts, len(u) - int(in_rect.sum())
 
 
@@ -848,7 +848,8 @@ def density_mc_compare_n1(
     bins_total = 0
     unbinned = 0
     expected_mass = 0.0
-    for name, rect in _rects(radius):
+    rects = _rects(radius)
+    for name, rect in rects:
         expected, counts, extra = _bin_region(name, rect, params, trials, bins, region_uv[name])
         unbinned += extra
         bins_total += len(expected)
@@ -860,7 +861,7 @@ def density_mc_compare_n1(
             max_rel_dev = max(max_rel_dev, float(np.max(dev)))
 
     real_frac = len(real_pairs) / trials
-    real_mass = sum(_quadrature_masses(_rects(radius, REGIONS[:-1]), params))
+    real_mass = sum(_quadrature_masses([p for p in rects if p[0] != "conj_pair"], params))
     sigma = math.sqrt(max(real_mass * (1.0 - real_mass), 1e-12) / trials)
     split_dev = abs(real_frac - real_mass)
 

@@ -72,9 +72,6 @@ class RealPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else 0.0
-
     def __call__(self, z):
         """Horner evaluation at z.
 

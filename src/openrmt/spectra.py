@@ -220,16 +220,12 @@ class SpectrumConfiguration:
     def num_real(self) -> int:
         return sum(1 for z in self.points if z.imag == 0)
 
-    @property
-    def real_values(self) -> tuple[float, ...]:
-        return tuple(z.real for z in self.points if z.imag == 0)
-
 
 def _labels(points: np.ndarray) -> tuple[str, ...]:
     return tuple(EIGENVALUE if e else RESONANCE for e in (np.abs(points) > 1.0).tolist())
 
 
-def _canonical_rows(roots: np.ndarray, tol: float):
+def _canonical_rows(roots: np.ndarray):
     """Canonical configurations of stacked root sets (T, K).
 
     Returns (points, origin_drops, failures).  Row i holds its kept points
@@ -243,7 +239,7 @@ def _canonical_rows(roots: np.ndarray, tol: float):
     z = np.asarray(roots, dtype=complex)
     mod = np.abs(z)
     kept = mod >= ORIGIN_RADIUS
-    real = kept & (np.abs(z.imag) <= tol * np.maximum(1.0, mod))
+    real = kept & (np.abs(z.imag) <= REALNESS_TOL * np.maximum(1.0, mod))
     upper = kept & ~real & (z.imag > 0)
     lower = kept & ~real & ~(z.imag > 0)
     failures: dict[int, Exception] = {}
@@ -271,14 +267,14 @@ def _canonical_rows(roots: np.ndarray, tol: float):
     return points, (mod < ORIGIN_RADIUS).sum(axis=1), failures
 
 
-def canonicalize_conjugates(roots, tol: float = REALNESS_TOL) -> SpectrumConfiguration:
+def canonicalize_conjugates(roots) -> SpectrumConfiguration:
     """Snap near-real roots, pair the rest into exact conjugates.
 
     Roots within ORIGIN_RADIUS of the origin are dropped (their count is
     kept on the configuration); a non-real root with no partner raises
     ConjugationError since roots of a real polynomial cannot be lopsided.
     """
-    points, drops, failures = _canonical_rows(np.asarray(roots, dtype=complex).reshape(1, -1), tol)
+    points, drops, failures = _canonical_rows(np.asarray(roots, dtype=complex).reshape(1, -1))
     if failures:
         raise failures[0]
     kept = points[0][~np.isnan(points[0])]
@@ -318,7 +314,7 @@ class SMembership:
         return self.ok
 
 
-def _side_checks(xs: np.ndarray, reals: np.ndarray, tol: float) -> list:
+def _side_checks(xs: np.ndarray, reals: np.ndarray) -> list:
     """Parity clauses c, a, b for the outside points on the positive axis.
 
     xs (T, K): each row's outside points > 1, ascending, NaN after them;
@@ -329,7 +325,7 @@ def _side_checks(xs: np.ndarray, reals: np.ndarray, tol: float) -> list:
     of row i) for each clause in order.
     """
     inv = 1.0 / xs
-    near = np.abs(reals[:, None, :] - inv[:, :, None]) <= tol
+    near = np.abs(reals[:, None, :] - inv[:, :, None]) <= REALNESS_TOL
     coincide = near.any(axis=2)
     lead = np.sum((reals > inv[:, :1]) & (reals <= 1.0), axis=1)
     inner = reals[:, None, :]
@@ -358,7 +354,7 @@ def _side_checks(xs: np.ndarray, reals: np.ndarray, tol: float) -> list:
     ]
 
 
-def _clause_rows(points: np.ndarray, tol: float) -> tuple[list, list]:
+def _clause_rows(points: np.ndarray) -> tuple[list, list]:
     """First violated admissibility clause of each stacked configuration, and its detail.
 
     points (T, K): each row's points sorted by (re, im), then NaN slots.
@@ -369,7 +365,7 @@ def _clause_rows(points: np.ndarray, tol: float) -> tuple[list, list]:
     """
     valid = ~np.isnan(points)
     mod = np.abs(points)
-    scale = tol * np.maximum(1.0, mod)
+    scale = REALNESS_TOL * np.maximum(1.0, mod)
     conj = np.sort(np.where(valid, points.conj(), EMPTY), axis=1)
     unclosed = valid & (np.abs(conj - points) > scale)
     nonreal = np.abs(points.imag) > scale
@@ -392,8 +388,8 @@ def _clause_rows(points: np.ndarray, tol: float) -> tuple[list, list]:
         ("ii", (outside & nonreal).any(axis=1), not_real),
         ("ii", multiple.any(axis=1), repeated),
     ]
-    checks += [("iii." + c, m, d) for c, m, d in _side_checks(xs_pos, reals, tol)]
-    checks += [("iv." + c, m, d) for c, m, d in _side_checks(xs_neg, -reals, tol)]
+    checks += [("iii." + c, m, d) for c, m, d in _side_checks(xs_pos, reals)]
+    checks += [("iv." + c, m, d) for c, m, d in _side_checks(xs_neg, -reals)]
     clauses: list = [None] * len(points)
     details = ["all clauses satisfied"] * len(points)
     for clause, failing, detail in checks:
@@ -403,7 +399,7 @@ def _clause_rows(points: np.ndarray, tol: float) -> tuple[list, list]:
     return clauses, details
 
 
-def is_in_S(k: int, config: SpectrumConfiguration, tol: float = REALNESS_TOL) -> SMembership:
+def is_in_S(k: int, config: SpectrumConfiguration) -> SMembership:
     """Admissibility of a k-point configuration as a rank-k zero set.
 
     Checks, in order: (i) conjugation closure, (ii) points outside the
@@ -413,7 +409,7 @@ def is_in_S(k: int, config: SpectrumConfiguration, tol: float = REALNESS_TOL) ->
     """
     if config.count != k:
         raise ValueError(f"configuration has {config.count} points, expected {k}")
-    clauses, details = _clause_rows(np.array(config.points, dtype=complex).reshape(1, -1), tol)
+    clauses, details = _clause_rows(np.array(config.points, dtype=complex).reshape(1, -1))
     return SMembership(clauses[0] is None, clauses[0], details[0])
 
 
@@ -456,10 +452,10 @@ def resolve_rows(roots: np.ndarray, k) -> ResolvedRows:
     1.  A different count is reported as clause "count".  Every row is
     judged on its own, so stacking never changes a row's verdict.
     """
-    points, drops, failures = _canonical_rows(roots, REALNESS_TOL)
+    points, drops, failures = _canonical_rows(roots)
     clauses, details = [], []
     for block in _row_blocks(len(points), points.shape[1]):
-        block_clauses, block_details = _clause_rows(points[block], REALNESS_TOL)
+        block_clauses, block_details = _clause_rows(points[block])
         clauses += block_clauses
         details += block_details
     count = (~np.isnan(points)).sum(axis=1)

@@ -192,6 +192,18 @@ def test_density_eval_out_of_support_still_exits_zero():
     assert out["density"] == 0.0
 
 
+def test_density_eval_writes_an_infinite_density_as_null():
+    # at beta = 1 a conjugate pair on the unit circle makes the density infinite
+    doc = '{"points": [[0.3, 0.0], [0.6, 0.8], [0.6, -0.8]]}'
+    proc = run_cli("density", "eval", "--beta", "1", stdin=doc)
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["in_support"] is True
+    assert out["boundary"] is True
+    assert out["log_density"] is None
+    assert out["density"] is None
+
+
 def test_density_eval_odd_count_uses_fixed_coupling():
     doc = '{"points": [[0.3, 0.0], [0.5, 0.5], [0.5, -0.5]]}'
     proc = run_cli("density", "eval", "--beta", "1", stdin=doc)
@@ -205,6 +217,20 @@ def test_density_eval_odd_count_uses_fixed_coupling():
 def test_density_mc_compare_refuses_small_runs():
     proc = run_cli("density", "mc-compare", "--trials", "5000")
     assert proc.returncode == 2
+
+
+def test_density_mc_compare_uses_the_radius(capsys):
+    argv = ["density", "mc-compare", "--trials", "100000", "--seed", SEED, "--radius", "9"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["radius"] == 9.0
+
+
+def test_density_mc_compare_is_byte_identical_across_workers():
+    args = ("density", "mc-compare", "--trials", "100000", "--seed", SEED)
+    one = run_cli(*args, "--workers", "1")
+    two = run_cli(*args, "--workers", "2")
+    assert one.returncode == two.returncode == 0
+    assert one.stdout == two.stdout
 
 
 def test_malformed_kappa_is_a_usage_error():

@@ -28,7 +28,16 @@ from openrmt import (
     semicircle_moment_test,
     sum_zeros_test,
 )
-from openrmt.experiments import _equal_mass_edges, _mc_chunk_n1
+from openrmt.experiments import (
+    DEFAULT_RADIUS,
+    _bin_region,
+    _equal_mass_edges,
+    _mc_chunk_n1,
+    _rects,
+    _region_forward,
+    _region_inverse,
+    _samples_to_region_uv,
+)
 from openrmt.geronimo_case import RealPolynomial
 
 SEED = 57721
@@ -199,8 +208,59 @@ def test_vectorized_sampler_matches_polynomial_route():
 def test_equal_mass_edges_split_uniform_mass():
     cum = np.cumsum(np.ones(100))
     edges = _equal_mass_edges(cum, 4)
-    assert edges.tolist() == [0, 24, 49, 74, 99]
-    assert _equal_mass_edges(np.zeros(5), 3).tolist() == [0, 4]
+    assert edges.tolist() == [0, 24, 49, 74, 100]
+    assert _equal_mass_edges(np.zeros(5), 3).tolist() == [0, 5]
+
+
+# The region maps written out one by one: (u, v) -> (first, second, Jacobian)
+# and (first, second) -> (u, v), with first = r1 or x and second = r2 or y.
+_ORACLE_FORWARD = {
+    "real_both_inside": lambda u, v: (u, u + v * (1.0 - u), 1.0 - u),
+    "real_pos_eigen": lambda u, v: (-1.0 + v * (1.0 / u + 1.0), u, 1.0 / u + 1.0),
+    "real_neg_eigen": lambda u, v: (u, 1.0 / u + v * (1.0 - 1.0 / u), 1.0 - 1.0 / u),
+    "real_two_eigen": lambda u, v: (u, v, np.ones_like(u)),
+    "conj_pair": lambda u, v: (u, v * np.sqrt(1.0 - u * u), np.sqrt(1.0 - u * u)),
+}
+_ORACLE_INVERSE = {
+    "real_both_inside": lambda a, b: (a, (b - a) / (1.0 - a)),
+    "real_pos_eigen": lambda a, b: (b, (a + 1.0) / (1.0 / b + 1.0)),
+    "real_neg_eigen": lambda a, b: (a, (b - 1.0 / a) / (1.0 - 1.0 / a)),
+    "real_two_eigen": lambda a, b: (a, b),
+    "conj_pair": lambda a, b: (a, b / np.sqrt(1.0 - a * a)),
+}
+
+
+def _rect_points(rect, size=2000):
+    u0, u1, v0, v1 = rect
+    gen = np.random.default_rng(SEED)
+    return gen.uniform(u0, u1, size), gen.uniform(v0, v1, size)
+
+
+@pytest.mark.parametrize("name, rect", _rects(DEFAULT_RADIUS))
+def test_region_table_maps_match_the_closed_forms(name, rect):
+    u, v = _rect_points(rect)
+    first, second, jac = _region_forward(name, u, v)
+    want_first, want_second, want_jac = _ORACLE_FORWARD[name](u, v)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(second, want_second)
+    assert np.array_equal(np.broadcast_to(jac, u.shape), want_jac)
+    uv = _region_inverse(name, first, second)
+    assert np.array_equal(uv, np.column_stack(_ORACLE_INVERSE[name](first, second)))
+    assert np.allclose(uv, np.column_stack([u, v]), rtol=0.0, atol=1e-12)
+
+
+def test_every_sample_is_binned_or_unbinned():
+    real_pairs, conj_pairs = _mc_chunk_n1((2.0, 1.0, CHI, SEED, 0, 1 << 15))
+    region_uv = _samples_to_region_uv(real_pairs, conj_pairs)
+    assert sum(len(uv) for uv in region_uv.values()) == 1 << 15
+    params = DensityParams(2.0, 1, 1.0, CHI)
+    covered = 0.0
+    for name, rect in _rects(DEFAULT_RADIUS):
+        expected, counts, unbinned = _bin_region(name, rect, params, 10**6, 15, region_uv[name])
+        assert len(counts) == len(expected)
+        assert counts.sum() + unbinned == len(region_uv[name]), name
+        covered += expected.sum()
+    assert abs(covered - 1.0) < 5e-4
 
 
 def test_mc_compare_validates_inputs():
