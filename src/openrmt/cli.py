@@ -177,6 +177,12 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        _usage(f"--trials must be at least 0, got {args.trials}")
+        return 2
+    if args.max_n < 1:
+        _usage(f"--max-n must be at least 1, got {args.max_n}")
+        return 2
     if args.suite == "roundtrip":
         report = roundtrip_suite(args.trials, args.seed, max_n=args.max_n)
     elif args.suite == "identities":

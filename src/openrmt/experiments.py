@@ -34,7 +34,7 @@ from .ensembles import (
     sample_dense_gaussian,
     sample_kappa,
 )
-from .geronimo_case import gc_forward, gc_inverse
+from .geronimo_case import gc_forward, gc_inverse_rows, lstar_rows
 from .identities import (
     TOL_IDENTITY,
     TOL_IDENTITY_V,
@@ -313,17 +313,28 @@ def roundtrip_suite(
     The inverse recursion loses roughly n digits per level on unlucky
     draws (small a values), so by default both directions run at 40
     working digits; see the precision note in the recursion module.
+    Trials are drawn one substream each and run as one forward and one
+    inverse pass per drawn n; a failed trial raises its exception, the
+    one of the lowest trial index when several fail.
     """
-    worst = 0.0
     t0 = time.perf_counter()
     master = RandomStream(seed)
+    by_n: dict[int, list[tuple[int, JacobiCoefficients]]] = {}
     for trial in range(trials):
         stream = master.substream(trial)
         n = int(stream.generator.integers(1, max_n + 1))
-        coeffs = random_coefficients(stream, n)
-        recovered = gc_inverse(gc_forward(coeffs, precision=precision).final, precision=precision)
-        for got, want in zip(recovered.a + recovered.b, coeffs.a + coeffs.b):
-            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+        by_n.setdefault(n, []).append((trial, random_coefficients(stream, n)))
+    errors, failed = [], []
+    for group in by_n.values():
+        a = np.array([coeffs.a for _, coeffs in group])
+        b = np.array([coeffs.b for _, coeffs in group])
+        got_a, got_b, failures = gc_inverse_rows(lstar_rows(a, b, precision), precision)
+        failed.extend((group[i][0], exc) for i, exc in failures.items())
+        want, got = np.hstack([a, b]), np.hstack([got_a, got_b])
+        errors.append(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+    if failed:
+        raise min(failed, key=lambda item: item[0])[1]
+    worst = float(max(errors, default=0.0))
     elapsed = time.perf_counter() - t0
     return ExperimentReport(
         name="roundtrip",
@@ -681,6 +692,12 @@ def _tail_pieces(radius: float) -> list:
     ]
 
 
+def _check_radius(radius: float) -> None:
+    """The regions run from the unit circle out to radius, so it must exceed 1."""
+    if not radius > 1:
+        raise ValueError(f"radius must be greater than 1, got {radius}")
+
+
 def density_normalization_n1(
     beta: float,
     gamma: float = 1.0,
@@ -694,6 +711,7 @@ def density_normalization_n1(
     made explicit.  The domain is truncated at |z| <= radius; the tail is
     estimated by enlarging the domain and must be negligible.
     """
+    _check_radius(radius)
     dist = kappa_dist or KappaDistribution("chi", (3.0, 0.5))
     params = DensityParams(beta, 1, gamma, dist)
     pieces = _quadrature_masses(_rects(radius) + _tail_pieces(radius), params)
@@ -828,6 +846,9 @@ def density_mc_compare_n1(
     """
     if trials < 1e5:
         raise ValueError("the binned comparison needs at least 1e5 trials")
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
+    _check_radius(radius)
     if not kappa_dist.has_density:
         raise ValueError("kappa must have a density for the comparison")
     params = DensityParams(beta, 1, gamma, kappa_dist)

@@ -26,16 +26,27 @@ rounds to p significant digits, and a_k is the correctly rounded
 Decimal.sqrt.  Plain floats are the default and are fine for every
 downstream consumer; coefficient recovery to near machine accuracy at n
 around 8 needs the extended path.
+
+Both directions also work on stacked coefficient sets, one row per set:
+lstar_rows and gc_inverse_rows run the same recursion on columns, each
+either a float64 array or, at precision p, an object array of Decimals,
+so every elementwise operation is the one the scalar ladder performs and
+a row's result never depends on the rest of the batch.  The inverse
+checks every row with masks and reports failures per row: a failed row
+is flagged with its InversionError and then carried along with harmless
+values, so no decimal signal fires for the other rows.  gc_inverse and
+k_from_lstar are the one-row calls of the same code.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from typing import Sequence
 
-from .jacobi import JacobiCoefficients
+import numpy as np
+
+from .jacobi import JacobiCoefficients, coefficient_failures
 
 # relative tolerance for remainders of structurally exact divisions
 REMAINDER_RTOL = 1e-9
@@ -125,56 +136,75 @@ class GCSequence:
         return self.lstar[-1]
 
 
-def _coeff_scale(cs) -> float:
-    return float(max(map(abs, cs), default=0.0)) or 1.0
-
-
 def _context(precision: int) -> Context:
     """A fresh decimal context of precision digits, rounding half to even."""
     return Context(prec=precision, rounding=ROUND_HALF_EVEN)
 
 
-def _div_one_minus_z2(num: list, zero):
-    """Quotient and (linear) remainder of num / (1 - z^2), top anchored."""
-    p = list(num)
-    q = [zero] * (len(p) - 2)
-    for i in range(len(q) - 1, -1, -1):
-        qi = -p[i + 2]
-        q[i] = qi
-        p[i + 2] = zero
-        p[i] = p[i] - qi
-    return q, (p[0], p[1])
+# elementwise on object arrays; Decimal(x) is exact for floats and ints
+_to_decimal = np.frompyfunc(Decimal, 1, 1)
+_decimal_is_finite = np.frompyfunc(Decimal.is_finite, 1, 1)
 
 
-def _k_lists_from_lstar(lcoeffs: list, one) -> list:
-    """K from L* by the reversal identity, (L - z^s L*) / (1 - z^2).
+def _flag(bad: np.ndarray, ok: np.ndarray, failures: dict, message) -> None:
+    """Record message(i) for each row i still ok that fails a check, and clear it in ok."""
+    for i in np.flatnonzero(bad & ok):
+        failures[int(i)] = InversionError(message(i))
+    ok &= ~bad
 
-    The shift s is 2 at an even ladder index and 1 at an odd one, where
-    K equals the companion one level below.
+
+def _k_rows(L: np.ndarray, one, ok: np.ndarray, failures: dict) -> np.ndarray:
+    """K from L* row by row by the reversal identity, (L - z^s L*) / (1 - z^2).
+
+    L holds one monic L*_m per row, (T, m + 1) in the working type.  The
+    shift s is 2 at an even ladder index m and 1 at an odd one, where K
+    equals the companion one level below.  A row whose division leaves a
+    remainder is flagged.
     """
-    zero = one - one
-    m = len(lcoeffs) - 1
+    rows, width = L.shape
+    m = width - 1
     shift = 1 if m % 2 else 2
-    num = [zero] * (m + 3)
-    for i in range(m + 1):
-        num[i] = num[i] + lcoeffs[m - i]  # reversal of L*
-        num[i + shift] = num[i + shift] - lcoeffs[i]  # minus z^s L*
-    q, rem = _div_one_minus_z2(num, zero)
-    scale = _coeff_scale(lcoeffs)
-    if max(abs(float(rem[0])), abs(float(rem[1]))) > REMAINDER_RTOL * scale:
-        raise InversionError(
-            f"division by 1 - z^2 left remainder {float(rem[0]):.3e}, "
-            f"{float(rem[1]):.3e} (scale {scale:.3e})"
-        )
+    zero = one - one
+    num = np.full((rows, m + 3), zero, dtype=L.dtype)
+    num[:, shift : width + shift] = zero - L  # minus z^s L*
+    num[:, :width] = num[:, :width] + L[:, ::-1]  # reversal of L*
+    # Dividing by 1 - z^2 from the top, q_i = q_{i+2} - num_{i+2}: each
+    # parity of q is minus the running sum of num from the top down.
+    q = np.empty((rows, width), dtype=L.dtype)
+    for start in (0, 1):
+        q[:, start::2] = -np.cumsum(num[:, start + 2 :: 2][:, ::-1], axis=1)[:, ::-1]
+    rem = [num[:, i] - q[:, i] if i < width else num[:, i] for i in (0, 1)]
+    scale = np.abs(L).max(axis=1)
+    bad = np.maximum(np.abs(rem[0]), np.abs(rem[1])) > type(one)(REMAINDER_RTOL) * scale
+    _flag(
+        bad,
+        ok,
+        failures,
+        lambda i: f"division by 1 - z^2 left remainder {float(rem[0][i]):.3e}, "
+        f"{float(rem[1][i]):.3e} (scale {float(scale[i]):.3e})",
+    )
     return q
 
 
+def k_from_lstar_rows(lstar: np.ndarray) -> np.ndarray:
+    """Companion K_m of each monic row L*_m of lstar (T, m + 1), in floats.
+
+    K_m has degree 2 floor(m / 2).  Raises the InversionError of the
+    lowest failing row.
+    """
+    L = np.array(lstar, dtype=float)
+    failures: dict[int, InversionError] = {}
+    q = _k_rows(L, 1.0, np.ones(len(L), dtype=bool), failures)
+    if failures:
+        raise failures[min(failures)]
+    return q[:, : L.shape[1] // 2 * 2 + 1]
+
+
 def k_from_lstar(lstar: RealPolynomial) -> RealPolynomial:
-    """Companion polynomial K_m recovered from L*_m alone, at either parity."""
+    """Companion polynomial K_m recovered from L*_m alone, at either parity, in floats."""
     if not lstar.is_monic:
         raise ValueError("k_from_lstar needs a monic polynomial")
-    cs = list(lstar.coeffs)
-    return RealPolynomial(_k_lists_from_lstar(cs, cs[-1]))
+    return RealPolynomial(k_from_lstar_rows([lstar.coeffs])[0].tolist())
 
 
 def _forward_steps(a, b, one):
@@ -227,68 +257,144 @@ def gc_forward(coeffs: JacobiCoefficients, precision: int | None = None) -> GCSe
     return GCSequence(lstars, ks)
 
 
-def _inverse_lists(lc: list, one):
+def lstar_rows(a: np.ndarray, b: np.ndarray, precision: int | None = None) -> np.ndarray:
+    """Coefficients (T, 2n + 1) of L*_{2n} for stacked coefficient rows a, b (T, n).
+
+    The ladder of gc_forward run on columns, one per coefficient: float
+    columns, or with precision given object columns of exact Decimals
+    rounded at that many digits per step.
+    """
+    rows = a.shape[0]
+    if precision is None:
+        for lstar, _ in _forward_steps(list(a.T), list(b.T), 1.0):
+            pass
+    else:
+        with localcontext(_context(precision)):
+            a, b = _to_decimal(a), _to_decimal(b)
+            for lstar, _ in _forward_steps(list(a.T), list(b.T), Decimal(1)):
+                pass
+    return np.column_stack([np.broadcast_to(c, (rows,)) for c in lstar])
+
+
+def _inverse_rows(L: np.ndarray, one) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """The downward recursion on the rows of L (T, 2n + 1), in the working type of one.
+
+    Every check is a row mask.  A row that fails one is flagged with its
+    InversionError and carries on with a^2 = 1 (a non-finite row with
+    L* = z^{2n}), so that no later operation of the batch can signal.
+    Returns a, b (T, n) in the working type, the mask of unflagged rows
+    and the failures.
+    """
+    cast = type(one)
+    rtol, min_asq = cast(REMAINDER_RTOL), cast(MIN_A_SQUARED)
     zero = one - one
-    n = (len(lc) - 1) // 2
-    a = [zero] * n
-    b = [zero] * n
-    L = list(lc)
-    K = _k_lists_from_lstar(L, one)
+    rows, width = L.shape
+    if width < 3 or width % 2 == 0:
+        raise ValueError("gc_inverse needs a monic polynomial of even degree >= 2")
+    if not np.all(L[:, -1] == one):
+        raise ValueError("gc_inverse needs a monic polynomial")
+    n = width // 2
+    ok = np.ones(rows, dtype=bool)
+    failures: dict[int, InversionError] = {}
+    finite = np.isfinite(L) if L.dtype != object else _decimal_is_finite(L).astype(bool)
+    bad = ~finite.all(axis=1)
+    _flag(bad, ok, failures, lambda i: f"non-finite coefficient in {RealPolynomial(L[i])!r}")
+    L[bad, :-1] = zero
+    K = _k_rows(L, one, ok, failures)
+    a = np.empty((rows, n), dtype=L.dtype)
+    b = np.empty((rows, n), dtype=L.dtype)
     for k in range(n - 1, -1, -1):
-        scale = _coeff_scale(L)
-        asq = one - L[0]
-        if float(asq) <= MIN_A_SQUARED:
-            raise InversionError(
-                f"level {k + 1}: 1 - L*(0) = {float(asq):.3e} is not positive"
-            )
-        a[k] = asq.sqrt() if isinstance(asq, Decimal) else asq**0.5
+        top = 2 * k + 1
+        tol = rtol * np.abs(L).max(axis=1)
+        asq = one - L[:, 0]
+        _flag(
+            asq <= min_asq,
+            ok,
+            failures,
+            lambda i: f"level {k + 1}: 1 - L*(0) = {float(asq[i]):.3e} is not positive",
+        )
+        asq = np.where(ok, asq, one)
+        a[:, k] = np.sqrt(asq)
         # K at the odd level has degree 2k; the top two differences are structural zeros
-        top_gap = abs(float(K[2 * k + 1]) - float(L[2 * k + 1]))
-        if top_gap > REMAINDER_RTOL * scale:
-            raise InversionError(f"level {k + 1}: companion mismatch {top_gap:.3e}")
-        K1 = [(K[i] - L[i]) / asq for i in range(2 * k + 1)]
-        c = asq - one
-        t = [L[i] + (c * K1[i] if i <= 2 * k else zero) for i in range(len(L))]
-        if abs(float(t[0])) > REMAINDER_RTOL * scale:
-            raise InversionError(
-                f"level {k + 1}: odd-step constant term {float(t[0]):.3e} not zero"
-            )
-        L1 = t[1:]
-        b[k] = -L1[0]
-        t = [L1[i] + (b[k] * K1[i] if i <= 2 * k else zero) for i in range(len(L1))]
-        if abs(float(t[0])) > REMAINDER_RTOL * _coeff_scale(L1):
-            raise InversionError(
-                f"level {k + 1}: even-step constant term {float(t[0]):.3e} not zero"
-            )
-        L = t[1:]
+        _flag(
+            np.abs(K[:, top] - L[:, top]) > tol,
+            ok,
+            failures,
+            lambda i: f"level {k + 1}: companion mismatch "
+            f"{abs(float(K[i, top]) - float(L[i, top])):.3e}",
+        )
+        K1 = (K[:, :top] - L[:, :top]) / asq[:, None]
+        c = (asq - one)[:, None]
+        t = np.concatenate([L[:, :top] + c * K1, L[:, top:] + zero], axis=1)
+        _flag(
+            np.abs(t[:, 0]) > tol,
+            ok,
+            failures,
+            lambda i: f"level {k + 1}: odd-step constant term {float(t[i, 0]):.3e} not zero",
+        )
+        L1 = t[:, 1:]
+        b[:, k] = -L1[:, 0]
+        t = np.concatenate([L1[:, :top] + b[:, k, None] * K1, L1[:, top:] + zero], axis=1)
+        _flag(
+            np.abs(t[:, 0]) > rtol * np.abs(L1).max(axis=1),
+            ok,
+            failures,
+            lambda i: f"level {k + 1}: even-step constant term {float(t[i, 0]):.3e} not zero",
+        )
+        L = t[:, 1:]
         K = K1
-    if abs(float(L[0]) - 1.0) > REMAINDER_RTOL:
-        raise InversionError(f"ladder bottom is {float(L[0]):.6e}, expected 1")
-    return a, b
+    _flag(
+        np.abs(L[:, 0] - one) > rtol,
+        ok,
+        failures,
+        lambda i: f"ladder bottom is {float(L[i, 0]):.6e}, expected 1",
+    )
+    return a, b, ok, failures
+
+
+def gc_inverse_rows(
+    lstar: np.ndarray, precision: int | None = None
+) -> tuple[np.ndarray, np.ndarray, dict[int, ValueError]]:
+    """Recover (a, b) row by row from stacked top ladder polynomials L*_{2n}.
+
+    lstar is (T, 2n + 1) in ascending degree, every row monic; entries may
+    be floats, ints or Decimals.  With precision given (decimal digits)
+    they enter as exact Decimals and the recursion runs on object columns
+    of Decimals at that many digits, as in gc_forward; without it they
+    are rounded to floats.  Each row is recovered on its own: a row's
+    values and failure do not depend on the other rows of the batch.
+
+    Returns a and b (T, n) as floats, and failures: row -> the exception
+    of that row, an InversionError when the row is not numerically
+    consistent with any coefficient set (a non-finite coefficient,
+    negative a^2, nonvanishing remainders, bad ladder bottom), or the
+    ValueError of JacobiCoefficients for a recovered value it rejects.
+    Failed rows read NaN.  Raises ValueError when the rows do not have
+    even degree >= 2 or are not monic.
+    """
+    if precision is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b, ok, failures = _inverse_rows(np.array(lstar, dtype=float), 1.0)
+    else:
+        with localcontext(_context(precision)):
+            L = _to_decimal(np.asarray(lstar, dtype=object))
+            a, b, ok, failures = _inverse_rows(L, Decimal(1))
+    a, b = a.astype(float), b.astype(float)
+    for i, exc in coefficient_failures(a, b).items():
+        if ok[i]:
+            failures[i] = exc
+            ok[i] = False
+    a[~ok] = np.nan
+    b[~ok] = np.nan
+    return a, b, failures
 
 
 def gc_inverse(lstar_2n: RealPolynomial, precision: int | None = None) -> JacobiCoefficients:
     """Recover (a, b) from the top ladder polynomial L*_{2n}.
 
-    The coefficients may be floats, ints or Decimals.  With precision
-    given (decimal digits) they enter as exact Decimals and the recursion
-    runs at that many digits, as in gc_forward; without it they are
-    rounded to floats.
-
-    Raises InversionError when the input is not numerically consistent
-    with any coefficient set (a non-finite coefficient, negative a^2,
-    nonvanishing remainders, bad ladder bottom).
+    The one-row call of gc_inverse_rows; it raises that row's failure.
     """
-    deg = lstar_2n.degree
-    if deg < 2 or deg % 2:
-        raise ValueError("gc_inverse needs a monic polynomial of even degree >= 2")
-    if not lstar_2n.is_monic:
-        raise ValueError("gc_inverse needs a monic polynomial")
-    if not all(math.isfinite(c) for c in lstar_2n.coeffs):
-        raise InversionError(f"non-finite coefficient in {lstar_2n!r}")
-    if precision is None:
-        a, b = _inverse_lists([float(c) for c in lstar_2n.coeffs], 1.0)
-    else:
-        with localcontext(_context(precision)):
-            a, b = _inverse_lists([Decimal(c) for c in lstar_2n.coeffs], Decimal(1))
-    return JacobiCoefficients(tuple(float(x) for x in a), tuple(float(x) for x in b))
+    a, b, failures = gc_inverse_rows([lstar_2n.coeffs], precision)
+    if failures:
+        raise failures[0]
+    return JacobiCoefficients(tuple(a[0].tolist()), tuple(b[0].tolist()))

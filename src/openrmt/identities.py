@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geronimo_case import RealPolynomial, gc_forward, k_from_lstar
+from .geronimo_case import RealPolynomial, gc_forward, k_from_lstar_rows, lstar_rows
 from .jacobi import JacobiCoefficients
 from .spectra import polynomial_roots
 
@@ -142,17 +142,16 @@ def check_zero_coefficient_identities(coeffs: JacobiCoefficients, m: int) -> Ide
 
 
 def _fd_jacobian(f, x0: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of a row-wise map f, at all 2 len(x0) points in one call."""
     x0 = np.asarray(x0, dtype=float)
-    out_dim = len(f(x0))
-    jac = np.zeros((out_dim, len(x0)))
-    for i in range(len(x0)):
-        step = h * max(1.0, abs(x0[i]))
-        xp = x0.copy()
-        xp[i] += step
-        xm = x0.copy()
-        xm[i] -= step
-        jac[:, i] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * step)
-    return jac
+    d = len(x0)
+    step = h * np.maximum(1.0, np.abs(x0))
+    points = np.tile(x0, (2, d, 1))
+    diag = np.arange(d)
+    points[0, diag, diag] += step
+    points[1, diag, diag] -= step
+    values = f(points.reshape(2 * d, d))
+    return ((values[:d] - values[d:]) / (2.0 * step)[:, None]).T
 
 
 def _u_descending(poly: RealPolynomial) -> list[float]:
@@ -161,31 +160,24 @@ def _u_descending(poly: RealPolynomial) -> list[float]:
     return cs[-2::-1]
 
 
-def _poly_from_descending(u_desc) -> RealPolynomial:
-    return RealPolynomial(list(reversed([float(x) for x in u_desc])) + [1.0], trim=False)
+def _ladder_step(v: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """u of z L* - factor K for rows v = (u of L*, parameter), all descending."""
+    rows = len(v)
+    lstar = np.concatenate([v[:, -2::-1], np.ones((rows, 1))], axis=1)
+    kpoly = k_from_lstar_rows(lstar)
+    out = np.concatenate([np.zeros((rows, 1)), lstar], axis=1)
+    out[:, : kpoly.shape[1]] -= factor[:, None] * kpoly
+    return out[:, -2::-1]
 
 
 def _odd_step_map(v: np.ndarray) -> np.ndarray:
-    """(u of L*_{2k}, b_{k+1}) -> u of L*_{2k+1}, all descending."""
-    lstar = _poly_from_descending(v[:-1])
-    bk = float(v[-1])
-    kpoly = k_from_lstar(lstar) if lstar.degree > 0 else RealPolynomial([1.0])
-    out = [0.0] + list(lstar.coeffs)
-    for i, c in enumerate(kpoly.coeffs):
-        out[i] -= bk * c
-    return np.array(_u_descending(RealPolynomial(out, trim=False)))
+    """(u of L*_{2k}, b_{k+1}) -> u of L*_{2k+1}, row by row."""
+    return _ladder_step(v, v[:, -1])
 
 
 def _even_step_map(v: np.ndarray) -> np.ndarray:
-    """(u of L*_{2k+1}, a_{k+1}) -> u of L*_{2k+2}, all descending."""
-    lstar = _poly_from_descending(v[:-1])
-    ak = float(v[-1])
-    kpoly = k_from_lstar(lstar)
-    out = [0.0] + list(lstar.coeffs)
-    c = ak * ak - 1.0
-    for i, kc in enumerate(kpoly.coeffs):
-        out[i] -= c * kc
-    return np.array(_u_descending(RealPolynomial(out, trim=False)))
+    """(u of L*_{2k+1}, a_{k+1}) -> u of L*_{2k+2}, row by row."""
+    return _ladder_step(v, v[:, -1] * v[:, -1] - 1.0)
 
 
 def stepwise_jacobian_fd(
@@ -242,10 +234,7 @@ def total_jacobian_fd(coeffs: JacobiCoefficients, h: float = FD_STEP) -> Identit
         raise ValueError("step size h must lie in [1e-7, 1e-4]")
 
     def full_map(x: np.ndarray) -> np.ndarray:
-        b = tuple(x[0::2])
-        a = tuple(x[1::2])
-        seq = gc_forward(JacobiCoefficients(a, b))
-        return np.array(_u_descending(seq.final))
+        return lstar_rows(x[:, 1::2], x[:, 0::2])[:, -2::-1]
 
     x0 = np.empty(2 * n)
     x0[0::2] = coeffs.b

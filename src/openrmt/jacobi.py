@@ -112,13 +112,21 @@ def coupled_coefficients(
         failures[i] = ValueError("off-diagonal entries must be nonnegative")
     for i in np.flatnonzero(~(kappa > 0)):
         failures.setdefault(i, ValueError("kappa must be positive"))
+    for i, exc in coefficient_failures(a, b).items():
+        failures.setdefault(i, exc)
+    return a, b, failures
+
+
+def coefficient_failures(a: np.ndarray, b: np.ndarray) -> dict[int, ValueError]:
+    """Row -> the ValueError JacobiCoefficients raises for stacked rows a, b (T, n)."""
+    failures: dict[int, ValueError] = {}
     for name, values, bad in (("a", a, ~np.isfinite(a) | (a <= 0)), ("b", b, ~np.isfinite(b))):
         for i in np.flatnonzero(bad.any(axis=1)):
             j = int(np.argmax(bad[i]))
             x = float(values[i, j])
             rule = "positive" if name == "a" and x <= 0 else "finite"
-            failures.setdefault(i, ValueError(f"{name}[{j}] = {x} must be {rule}"))
-    return a, b, failures
+            failures.setdefault(int(i), ValueError(f"{name}[{j}] = {x} must be {rule}"))
+    return failures
 
 
 @dataclass(frozen=True)

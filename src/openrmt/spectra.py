@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geronimo_case import RealPolynomial, _forward_steps
+from .geronimo_case import RealPolynomial, lstar_rows
 from .jacobi import JacobiCoefficients, perturbation_order
 
 RESIDUAL_RTOL = 1e-9
@@ -127,10 +127,7 @@ def linearization_zeros(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[
         zeros[block], block_failures = _linearization_eigvals(a[block], b[block])
         failures.update((block.start + i, exc) for i, exc in block_failures.items())
     with np.errstate(over="ignore", invalid="ignore"):
-        for lstar, _ in _forward_steps(list(a.T), list(b.T), 1.0):
-            pass  # the certificate needs only the top level L*_{2n}
-        coeffs = np.column_stack([np.broadcast_to(c, (rows,)) for c in lstar])
-        certified = _residuals_ok(coeffs, zeros)
+        certified = _residuals_ok(lstar_rows(a, b), zeros)
     for i in np.flatnonzero(~certified):
         failures.setdefault(
             i, RootFindingError(f"root residuals exceed tolerance for degree {2 * n} input")

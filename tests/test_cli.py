@@ -301,3 +301,31 @@ def test_non_finite_model_parameters_are_usage_errors(capsys, tmp_path, flag, va
 def test_spectrum_names_a_non_finite_coefficient(capsys, a, b, message):
     assert cli.main(["spectrum", "--a", a, "--b", b]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["normalize", "--radius", "0.5"], "radius must be greater than 1, got 0.5"),
+        (["normalize", "--radius", "nan"], "radius must be greater than 1, got nan"),
+        (["mc-compare", "--trials", "100000", "--radius", "1"], "radius must be greater than 1, got 1.0"),
+        (["mc-compare", "--trials", "100000", "--bins", "0"], "bins must be at least 1, got 0"),
+    ],
+)
+def test_degenerate_density_geometry_is_a_usage_error(capsys, argv, message):
+    assert cli.main(["density", *argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("suite", ["identities", "jacobian", "roundtrip", "membership"])
+def test_verify_rejects_negative_trials_and_empty_sizes(capsys, suite):
+    for flag, value, message in (
+        ("--trials", "-3", "--trials must be at least 0, got -3"),
+        ("--max-n", "0", "--max-n must be at least 1, got 0"),
+    ):
+        assert cli.main(["verify", suite, flag, value]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"

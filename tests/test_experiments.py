@@ -8,12 +8,15 @@ from scipy import stats as spstats
 from openrmt import (
     DensityParams,
     EnsembleParams,
+    InversionError,
     KappaDistribution,
     RandomStream,
     SpectrumConfiguration,
     dense_vs_tridiagonal_test,
     density_mc_compare_n1,
     density_normalization_n1,
+    gc_forward,
+    gc_inverse,
     identity_suite,
     jacobian_suite,
     ks_test,
@@ -85,6 +88,43 @@ def test_roundtrip_suite_small():
     report = roundtrip_suite(30, SEED, max_n=8)
     assert report.passed
     assert report.statistics["max_rel_error"] < 1e-8
+
+
+def _roundtrip_reference(trials, seed, max_n):
+    """The per-set loop the batched suite replaces: worst error, or the first exception."""
+    worst = 0.0
+    master = RandomStream(seed)
+    for trial in range(trials):
+        stream = master.substream(trial)
+        n = int(stream.generator.integers(1, max_n + 1))
+        coeffs = random_coefficients(stream, n)
+        rec = gc_inverse(gc_forward(coeffs, precision=40).final, precision=40)
+        for got, want in zip(rec.a + rec.b, coeffs.a + coeffs.b):
+            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 931, SEED])
+def test_roundtrip_suite_equals_the_per_set_loop(seed):
+    report = roundtrip_suite(200, seed, max_n=8)
+    assert report.statistics["max_rel_error"] == _roundtrip_reference(200, seed, 8)
+    assert report.trials == 200 and report.params == {"max_n": 8, "precision": 40}
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (1, "level 5: 1 - L*(0) = -1.391e+00 is not positive"),
+        (4, "level 8: 1 - L*(0) = -7.450e-01 is not positive"),
+        (5, "level 4: 1 - L*(0) = -4.775e+00 is not positive"),
+    ],
+)
+def test_roundtrip_suite_raises_the_first_failing_trial(seed, message):
+    with pytest.raises(InversionError) as batched:
+        roundtrip_suite(200, seed, max_n=32)
+    with pytest.raises(InversionError) as reference:
+        _roundtrip_reference(200, seed, 32)
+    assert str(batched.value) == str(reference.value) == message
 
 
 def test_identity_suite_small():

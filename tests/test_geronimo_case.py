@@ -18,7 +18,13 @@ from openrmt import (
     random_coefficients,
     reversal,
 )
-from openrmt.geronimo_case import _forward_lists
+from openrmt.geronimo_case import (
+    MIN_A_SQUARED,
+    REMAINDER_RTOL,
+    _forward_lists,
+    gc_inverse_rows,
+    lstar_rows,
+)
 
 SEED = 271828
 
@@ -249,3 +255,152 @@ def test_sequence_container():
     assert isinstance(seq, GCSequence)
     assert seq.final is seq.lstar[-1]
     assert len(seq.lstar) == len(seq.k)
+
+
+def _one_row(lstar_row, precision):
+    """gc_inverse on one row: (a, b) as lists, or the message of its exception."""
+    try:
+        rec = gc_inverse(RealPolynomial(tuple(lstar_row), trim=False), precision=precision)
+    except InversionError as exc:
+        return str(exc)
+    return list(rec.a), list(rec.b)
+
+
+def _scalar_inverse(coeffs, precision):
+    """The scalar level-by-level recursion the row-wise inverse replaces.
+
+    Returns (a, b) as float lists, or the message of the first failed
+    check; a_k is the correctly rounded square root in both types.
+    """
+    if precision is None:
+        L, one, sqrt = [float(c) for c in coeffs], 1.0, math.sqrt
+    else:
+        decimal.getcontext().prec = precision
+        L, one, sqrt = [Decimal(c) for c in coeffs], Decimal(1), Decimal.sqrt
+    zero, m = one - one, len(L) - 1
+
+    def tol(cs):
+        return REMAINDER_RTOL * float(max(map(abs, cs)))
+
+    num = [zero] * (m + 3)
+    for i in range(m + 1):
+        num[i] = num[i] + L[m - i]
+        num[i + 2] = num[i + 2] - L[i]
+    K = [zero] * (m + 1)
+    for i in range(m, -1, -1):
+        K[i] = -num[i + 2]
+        num[i] = num[i] - K[i]
+    if max(abs(float(num[0])), abs(float(num[1]))) > tol(L):
+        return "division by 1 - z^2 left a remainder"
+    a, b = [zero] * (m // 2), [zero] * (m // 2)
+    for k in range(m // 2 - 1, -1, -1):
+        level_tol = tol(L)
+        asq = one - L[0]
+        if float(asq) <= MIN_A_SQUARED:
+            return f"level {k + 1}: 1 - L*(0) = {float(asq):.3e} is not positive"
+        a[k] = sqrt(asq)
+        gap = abs(float(K[2 * k + 1]) - float(L[2 * k + 1]))
+        if gap > level_tol:
+            return f"level {k + 1}: companion mismatch {gap:.3e}"
+        K1 = [(K[i] - L[i]) / asq for i in range(2 * k + 1)]
+        c = asq - one
+        t = [L[i] + (c * K1[i] if i <= 2 * k else zero) for i in range(len(L))]
+        if abs(float(t[0])) > level_tol:
+            return f"level {k + 1}: odd-step constant term {float(t[0]):.3e} not zero"
+        L1 = t[1:]
+        b[k] = -L1[0]
+        t = [L1[i] + (b[k] * K1[i] if i <= 2 * k else zero) for i in range(len(L1))]
+        if abs(float(t[0])) > tol(L1):
+            return f"level {k + 1}: even-step constant term {float(t[0]):.3e} not zero"
+        L, K = t[1:], K1
+    if abs(float(L[0]) - 1.0) > REMAINDER_RTOL:
+        return f"ladder bottom is {float(L[0]):.6e}, expected 1"
+    return [float(x) for x in a], [float(x) for x in b]
+
+
+@pytest.mark.parametrize("precision", [40, None])
+def test_batched_rows_equal_one_row_calls(precision):
+    """500 sets at n = 1..8: each row of a batch is bit-identical to its own calls.
+
+    The scalar recursion kept above is the reference for values and
+    failure messages alike.
+    """
+    master = RandomStream(SEED + 6)
+    for n in range(1, 9):
+        sets = [random_coefficients(master.substream(100 * n + i), n) for i in range(500 // 8 + 1)]
+        a = np.array([c.a for c in sets])
+        b = np.array([c.b for c in sets])
+        lstar = lstar_rows(a, b, precision)
+        got_a, got_b, failures = gc_inverse_rows(lstar, precision)
+        for i, coeffs in enumerate(sets):
+            assert list(lstar[i]) == list(gc_forward(coeffs, precision=precision).final.coeffs)
+            with decimal.localcontext():
+                reference = _scalar_inverse(lstar[i], precision)
+            if i in failures:
+                assert _one_row(lstar[i], precision) == str(failures[i]) == reference
+                assert np.isnan(got_a[i]).all() and np.isnan(got_b[i]).all()
+            else:
+                assert _one_row(lstar[i], precision) == (got_a[i].tolist(), got_b[i].tolist())
+                assert reference == (got_a[i].tolist(), got_b[i].tolist())
+        if precision is not None:
+            assert not failures
+            assert got_a.tolist() == a.tolist() and got_b.tolist() == b.tolist()
+
+
+def _poisoned_batch(precision):
+    """Twelve n = 4 rows, three of them poisoned, under a caller context that traps everything."""
+    master = RandomStream(SEED + 7)
+    sets = [random_coefficients(master.substream(i), 4) for i in range(12)]
+    a = np.array([c.a for c in sets])
+    b = np.array([c.b for c in sets])
+    a[5] = 1.5e-6  # tiny a at every level: the remainders lose every digit
+    b[5] = np.linspace(-0.5, 0.5, 4)
+    lstar = lstar_rows(a, b, precision)
+    clean = gc_inverse_rows(lstar, precision)
+    lstar[2, 0] = 1  # 1 - L*(0) = 0 at the top level
+    lstar[9, 3] = math.nan
+    return lstar, clean
+
+
+@pytest.mark.parametrize("precision", [40, None])
+def test_poisoned_rows_leave_the_rest_of_the_batch_alone(precision):
+    lstar, (clean_a, clean_b, clean_failures) = _poisoned_batch(precision)
+    ctx = decimal.getcontext()
+    saved = ctx.copy()
+    try:
+        decimal.setcontext(decimal.Context(prec=5, rounding=decimal.ROUND_DOWN, traps=list(ctx.flags)))
+        got_a, got_b, failures = gc_inverse_rows(lstar, precision)
+        assert not any(decimal.getcontext().flags.values())
+    finally:
+        decimal.setcontext(saved)
+    assert set(clean_failures) == {5} and set(failures) == {2, 5, 9}
+    assert "not positive" in str(failures[2])
+    assert "mismatch" in str(failures[5]) and str(failures[5]) == str(clean_failures[5])
+    assert str(failures[9]).startswith("non-finite coefficient in RealPolynomial(")
+    for i in range(len(lstar)):
+        if i in failures:
+            assert _one_row(lstar[i], precision) == str(failures[i])
+        else:
+            assert got_a[i].tolist() == clean_a[i].tolist()
+            assert got_b[i].tolist() == clean_b[i].tolist()
+            assert _one_row(lstar[i], precision) == (got_a[i].tolist(), got_b[i].tolist())
+
+
+def test_batched_ladder_leaves_the_callers_decimal_context_alone():
+    lstar, (clean_a, clean_b, _) = _poisoned_batch(40)
+    ctx = decimal.getcontext()
+    saved = ctx.copy()
+    try:
+        ctx.prec, ctx.rounding = 5, decimal.ROUND_DOWN
+        ctx.clear_flags()
+        again = lstar_rows(np.array([[1.7, 0.4]]), np.array([[-0.3, 1.1]]), 40)
+        got_a, got_b, failures = gc_inverse_rows(lstar, 40)
+        assert decimal.getcontext() is ctx
+        assert (ctx.prec, ctx.rounding) == (5, decimal.ROUND_DOWN)
+        assert not any(ctx.flags.values())
+    finally:
+        decimal.setcontext(saved)
+    want = gc_forward(JacobiCoefficients((1.7, 0.4), (-0.3, 1.1)), precision=40).final.coeffs
+    assert [c.as_tuple() for c in again[0]] == [c.as_tuple() for c in want]
+    ok = [i for i in range(len(lstar)) if i not in failures]
+    assert got_a[ok].tolist() == clean_a[ok].tolist() and got_b[ok].tolist() == clean_b[ok].tolist()
