@@ -74,11 +74,14 @@ def _json_safe(obj):
     return obj
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def _dump(doc) -> str:
     try:
-        return json.dumps(doc, sort_keys=True, allow_nan=False)
+        return _ENCODER.encode(doc)
     except ValueError:  # a non-finite float somewhere: write it as null
-        return json.dumps(_json_safe(doc), sort_keys=True)
+        return _ENCODER.encode(_json_safe(doc))
 
 
 @contextlib.contextmanager

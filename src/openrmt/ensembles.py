@@ -9,11 +9,14 @@ semicircle on [-2, 2].
 All sampling goes through ``RandomStream``, a counter-style wrapper
 around numpy's generators keyed by ``(seed, stream_id)``.  Identical
 keys give identical draw sequences, which is what makes trial-level
-parallelism reproducible: worker count never changes the output.
+parallelism reproducible: worker count never changes the output.  The
+generators of a range of trials are seeded in one array pass that
+reproduces numpy's ``SeedSequence`` word for word.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,12 +30,102 @@ class UnsupportedVariantError(ValueError):
     """Requested a model variant that is deliberately out of scope."""
 
 
-def _splitmix64(x: int) -> int:
-    """One round of the splitmix64 mixer (public-domain constants)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """One round of the splitmix64 mixer (public-domain constants) on uint64 words."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, filled by one hash and mixed, read out by another hash.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
+    """(xor, multiplier) of each of ``count`` successive calls of one hash."""
+    pairs, const = [], init
+    for _ in range(count):
+        nxt = (const * mult) & 0xFFFFFFFF
+        pairs.append((np.uint32(const), np.uint32(nxt)))
+        const = nxt
+    return pairs
+
+
+# the entropy hash runs once per pool word and once per mixing pair; the
+# output hash once per uint32 half of PCG64's 4 uint64 seed words
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, consts: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    value = (value ^ consts[0]) * consts[1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _uint32_words(x: int) -> list[int]:
+    """numpy's entropy words of a nonnegative int: little-endian 32-bit, [0] for 0."""
+    words = [x & 0xFFFFFFFF]
+    while x >> 32:
+        x >>= 32
+        words.append(x & 0xFFFFFFFF)
+    return words
+
+
+def _seed_words(seed: int, ids: np.ndarray) -> np.ndarray:
+    """``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for every i in ids, as rows.
+
+    The entropy is the words of seed, then those of the id, zero-padded
+    to the pool size; seed and id fit in 64 bits each, so it never
+    overflows the pool.  A zero word and a missing one hash alike, so
+    every id contributes both of its 32-bit halves.
+    """
+    head = _uint32_words(seed)
+    entropy = np.zeros((_POOL_SIZE, len(ids)), dtype=np.uint32)
+    entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[len(head)] = ids.astype(np.uint32)  # the low half: astype wraps
+    entropy[len(head) + 1] = (ids >> np.uint64(32)).astype(np.uint32)
+    hash_a = iter(_HASH_A)
+    pool = [_hashmix(word, next(hash_a)) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(hash_a)))
+    state = np.empty((len(ids), len(_HASH_B)), dtype=np.uint32)
+    for i, consts in enumerate(_HASH_B):
+        state[:, i] = _hashmix(pool[i % _POOL_SIZE], consts)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """A seed sequence class that hands PCG64 4 precomputed uint64 words (see :func:`_seed_words`).
+
+    Built on first use, so that importing this module does not load
+    numpy.random, which CLI start-up does not need.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype != np.uint64:
+                raise ValueError("precomputed seed words serve only a 4-word uint64 request")
+            return self.words
+
+    return SeedWords
 
 
 @dataclass
@@ -40,9 +133,10 @@ class RandomStream:
     """Deterministic substream of the global experiment randomness.
 
     The generator is derived from ``(seed, stream_id)`` only.  Substreams
-    for parallel trials are obtained with :meth:`substream`; the child id
-    is an injective mix of the parent id and the index for all indices
-    below 2**32, so distinct trials never collide.
+    for parallel trials are obtained with :meth:`substream`, or a range
+    of them with :meth:`substreams`; the child id is an injective mix of
+    the parent id and the index for all indices below 2**32, so distinct
+    trials never collide.
     """
 
     seed: int
@@ -62,11 +156,28 @@ class RandomStream:
             self._gen = np.random.Generator(np.random.PCG64(ss))
         return self._gen
 
-    def substream(self, index: int) -> "RandomStream":
-        if index < 0:
+    def _child_ids(self, start: int, stop: int) -> np.ndarray:
+        if start < 0:
             raise ValueError("substream index must be nonnegative")
-        child = _splitmix64(((self.stream_id << 32) & _MASK64) ^ index)
-        return RandomStream(self.seed, child)
+        index = np.arange(start, stop, dtype=np.uint64)
+        return _splitmix64(np.uint64((self.stream_id << 32) & _MASK64) ^ index)
+
+    def substream(self, index: int) -> "RandomStream":
+        return RandomStream(self.seed, int(self._child_ids(index, index + 1)[0]))
+
+    def substreams(self, start: int, stop: int) -> list["RandomStream"]:
+        """``[self.substream(i) for i in range(start, stop)]``, with the generators built.
+
+        The seed words of all children come from one array pass (see
+        :func:`_seed_words`); :attr:`generator` keeps numpy's own
+        ``SeedSequence`` route and is the oracle for the batch.
+        """
+        ids = self._child_ids(start, stop)
+        seed_words = _seed_words_type()
+        return [
+            RandomStream(self.seed, child, np.random.Generator(np.random.PCG64(seed_words(words))))
+            for child, words in zip(ids.tolist(), _seed_words(self.seed, ids))
+        ]
 
 
 @dataclass(frozen=True)
@@ -192,16 +303,24 @@ def chi_sample(stream: RandomStream, dof: float, scale: float = 1.0, size: int |
     return scale * np.sqrt(2.0 * g)
 
 
+def _kappa_raw(dist: KappaDistribution, gen: np.random.Generator, size: int | None = None):
+    """Kappa's raw variate(s) under a uniform or chi law: the uniform, or the gamma variate."""
+    if dist.kind == "uniform":
+        lo, hi = dist.params
+        return gen.uniform(lo, hi, size)
+    return gen.standard_gamma(0.5 * dist.params[0], size)
+
+
+def _kappa_from_raw(dist: KappaDistribution, raw):
+    """Kappa from :func:`_kappa_raw`'s variate(s); chi = scale * sqrt(2 * Gamma(dof/2))."""
+    return raw if dist.kind == "uniform" else dist.params[1] * np.sqrt(2.0 * raw)
+
+
 def sample_kappa(dist: KappaDistribution, stream: RandomStream, size: int | None = None):
     """One kappa draw (a float), or an array of ``size`` draws from the stream."""
     if dist.kind == "point":
         return dist.params[0] if size is None else np.full(size, dist.params[0])
-    if dist.kind == "uniform":
-        lo, hi = dist.params
-        draws = stream.generator.uniform(lo, hi, size)
-    else:
-        dof, scale = dist.params
-        draws = chi_sample(stream, dof, scale, size)
+    draws = _kappa_from_raw(dist, _kappa_raw(dist, stream.generator, size))
     return float(draws) if size is None else draws
 
 
@@ -210,38 +329,50 @@ def sample_de_tridiagonal(params: EnsembleParams, stream: RandomStream) -> Tridi
 
     Diagonal entries are iid N(0, 2/(beta*n)); off-diagonal entry j
     (1-based, from the top) is chi with beta*(n-j) degrees of freedom
-    divided by sqrt(beta*n).  Draw order is s then t, one vector each.
+    divided by sqrt(beta*n).  Draw order is s then t.
     """
-    s, t = _draw_block(params, stream)
-    return TridiagonalSample(tuple(float(x) for x in s), tuple(float(x) for x in t))
+    s, t, _ = _draw_trials(params, [stream.generator], None)
+    return TridiagonalSample(tuple(s[0].tolist()), tuple(t[0].tolist()))
 
 
-def _draw_block(params: EnsembleParams, stream: RandomStream) -> tuple[np.ndarray, np.ndarray]:
+def _draw_trials(params: EnsembleParams, gens: list, kappa: KappaDistribution | None):
+    """One block, and one kappa raw variate unless kappa is None or a point law, per generator.
+
+    Each generator draws in stream order: n normals (the diagonal s),
+    the n - 1 off-diagonal gamma variates one scalar-shape call each
+    (which consumes the stream exactly as one array-shape call does,
+    without its per-call argument checks), then kappa's raw variate.
+    The chi transform of the gammas runs once on the stacked rows.
+    Returns s (T, n), t (T, n - 1) and the raw kappa variates (T,).
+    """
     beta, n = params.beta, params.n
-    s = normal_sample(stream, 0.0, 2.0 / (beta * n), n)
-    if n > 1:
-        dofs = beta * (n - np.arange(1, n))
-        g = stream.generator.standard_gamma(0.5 * dofs)
-        t = np.sqrt(2.0 * g) / math.sqrt(beta * n)
-    else:
-        t = np.empty(0)
-    return s, t
+    sd = math.sqrt(2.0 / (beta * n))
+    shapes = (0.5 * (beta * (n - np.arange(1, n)))).tolist()
+    draw_kappa = kappa is not None and kappa.kind != "point"
+    s = np.empty((len(gens), n))
+    g = np.empty((len(gens), n - 1))
+    raw = np.empty(len(gens))
+    for i, gen in enumerate(gens):
+        s[i] = gen.normal(0.0, sd, n)
+        draw_gamma = gen.standard_gamma
+        g[i] = [draw_gamma(shape) for shape in shapes]
+        if draw_kappa:
+            raw[i] = _kappa_raw(kappa, gen)
+    return s, np.sqrt(2.0 * g) / math.sqrt(beta * n), raw
 
 
 def sample_coupled_trials(params: EnsembleParams, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked draws of one coupled trial per stream: s (T, n), t (T, n - 1), kappa (T,).
 
     Each stream draws its block as :func:`sample_de_tridiagonal` does and
-    then its coupling with :func:`sample_kappa`, so row i depends on
+    then its coupling as :func:`sample_kappa` does, so row i depends on
     streams[i] alone and not on how trials are grouped.
     """
-    s = np.empty((len(streams), params.n))
-    t = np.empty((len(streams), params.n - 1))
-    kappa = np.empty(len(streams))
-    for i, stream in enumerate(streams):
-        s[i], t[i] = _draw_block(params, stream)
-        kappa[i] = sample_kappa(params.kappa, stream)
-    return s, t, kappa
+    dist = params.kappa
+    s, t, raw = _draw_trials(params, [stream.generator for stream in streams], dist)
+    if dist.kind == "point":
+        return s, t, np.full(len(streams), dist.params[0])
+    return s, t, _kappa_from_raw(dist, raw)
 
 
 def sample_dense_gaussian(beta: float, n: int, stream: RandomStream) -> np.ndarray:

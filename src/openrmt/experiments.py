@@ -113,6 +113,12 @@ def _chunked(fn: Callable, args_list: list, workers: int) -> list:
         return list(pool.map(fn, args_list))
 
 
+def _trial_streams(seed: int, start: int, stop: int):
+    """The substreams start..stop - 1 of the seed, built TRIAL_CHUNK at a time."""
+    for lo in range(start, stop, TRIAL_CHUNK):
+        yield from RandomStream(seed).substreams(lo, min(lo + TRIAL_CHUNK, stop))
+
+
 def random_coefficients(stream: RandomStream, n: int, avoid_unit_last_a: bool = True) -> JacobiCoefficients:
     """Random perturbed coefficients: a in (0.1, 3), b in (-3, 3).
 
@@ -169,33 +175,37 @@ def _trial_batch(params: EnsembleParams, streams: list) -> _TrialBatch:
 
 def _pipeline_chunk(args) -> list[dict]:
     params, seed, start, stop = args
-    trials = range(start, stop)
-    batch = _trial_batch(params, [RandomStream(seed).substream(trial) for trial in trials])
+    batch = _trial_batch(params, RandomStream(seed).substreams(start, stop))
     rows = batch.rows
-    labels = np.where(rows.eigenvalue, EIGENVALUE, RESONANCE)
+    # one tolist per array and chunk, not per row
+    s, t, kappa, a, b, residual = (
+        x.tolist() for x in (batch.s, batch.t, batch.kappa, batch.a, batch.b, batch.residual)
+    )
+    real, imag = rows.points.real.tolist(), rows.points.imag.tolist()
+    kept = (~np.isnan(rows.points)).tolist()
+    labels = np.where(rows.eigenvalue, EIGENVALUE, RESONANCE).tolist()
     out = []
-    for i, trial in enumerate(trials):
+    for i, trial in enumerate(range(start, stop)):
         if i in batch.failures:
             exc = batch.failures[i]
             out.append({"trial": trial, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        kept = ~np.isnan(rows.points[i])
-        zeros = rows.points[i][kept]
         out.append(
             {
                 "trial": trial,
-                "s": batch.s[i].tolist(),
-                "t": batch.t[i].tolist(),
-                "kappa": float(batch.kappa[i]),
-                "a": batch.a[i].tolist(),
-                "b": batch.b[i].tolist(),
+                "s": s[i],
+                "t": t[i],
+                "kappa": kappa[i],
+                "a": a[i],
+                "b": b[i],
                 "zeros": [
-                    list(z)
-                    for z in zip(zeros.real.tolist(), zeros.imag.tolist(), labels[i][kept].tolist())
+                    [x, y, label]
+                    for x, y, label, keep in zip(real[i], imag[i], labels[i], kept[i])
+                    if keep
                 ],
                 "in_S": rows.clause[i] is None,
                 "clause": rows.clause[i],
-                "kappa_check_residual": float(batch.residual[i]),
+                "kappa_check_residual": residual[i],
             }
         )
     return out
@@ -239,8 +249,7 @@ def run_resonance_sampling(
 def _membership_chunk(args) -> list[tuple]:
     betas, max_n, gamma, dist, seed, start, stop = args
     groups: dict[tuple[float, int], list] = {}
-    for trial in range(start, stop):
-        stream = RandomStream(seed).substream(trial)
+    for trial, stream in enumerate(RandomStream(seed).substreams(start, stop), start):
         n = int(stream.generator.integers(1, max_n + 1))
         groups.setdefault((betas[trial % len(betas)], n), []).append((trial, stream))
     rows = {}
@@ -318,10 +327,8 @@ def roundtrip_suite(
     one of the lowest trial index when several fail.
     """
     t0 = time.perf_counter()
-    master = RandomStream(seed)
     by_n: dict[int, list[tuple[int, JacobiCoefficients]]] = {}
-    for trial in range(trials):
-        stream = master.substream(trial)
+    for trial, stream in enumerate(_trial_streams(seed, 0, trials)):
         n = int(stream.generator.integers(1, max_n + 1))
         by_n.setdefault(n, []).append((trial, random_coefficients(stream, n)))
     errors, failed = [], []
@@ -356,15 +363,13 @@ def identity_suite(trials: int, seed: int, max_n: int = 8) -> ExperimentReport:
     1/|1 - z_j z_k| purely through conditioning of the double-precision
     ladder coefficients, which no amount of root refinement undoes.
     """
-    master = RandomStream(seed)
     max_res = {"identity_i": 0.0, "identity_ii": 0.0, "identity_iii": 0.0, "identity_iv": 0.0}
     max_v = 0.0
     max_v_imag = 0.0
     v_scored = 0
     v_rejected = 0
     levels = 0
-    for trial in range(trials):
-        stream = master.substream(trial)
+    for stream in _trial_streams(seed, 0, trials):
         n = int(stream.generator.integers(1, max_n + 1))
         coeffs = random_coefficients(stream, n, avoid_unit_last_a=False)
         for m in range(1, 2 * n + 1):
@@ -406,10 +411,8 @@ def identity_suite(trials: int, seed: int, max_n: int = 8) -> ExperimentReport:
 
 def jacobian_suite(trials: int, seed: int, max_n: int = 5) -> ExperimentReport:
     """Finite-difference step and total Jacobian determinants vs formulas."""
-    master = RandomStream(seed)
     worst = {"jacobian_odd_step": 0.0, "jacobian_even_step": 0.0, "jacobian_total": 0.0}
-    for trial in range(trials):
-        stream = master.substream(trial)
+    for stream in _trial_streams(seed, 0, trials):
         n = int(stream.generator.integers(1, max_n + 1))
         coeffs = random_coefficients(stream, n, avoid_unit_last_a=False)
         for k in range(n):
@@ -446,8 +449,7 @@ def ks_test(samples, cdf) -> tuple[float, float]:
 def _sum_zeros_chunk(args) -> tuple[list[float], float]:
     """Zero sums by the monomial route: ladder polynomial, then companion roots."""
     params, seed, start, stop = args
-    streams = [RandomStream(seed).substream(trial) for trial in range(start, stop)]
-    s, t, kappa = sample_coupled_trials(params, streams)
+    s, t, kappa = sample_coupled_trials(params, RandomStream(seed).substreams(start, stop))
     a, b, failures = coupled_coefficients(s, t, params.gamma, kappa)
     if failures:
         raise failures[min(failures)]
@@ -524,10 +526,9 @@ def semicircle_moment_test(
     if n < 50:
         raise ValueError("moment test is meaningful only for n >= 50")
     params = EnsembleParams(beta, n)
-    master = RandomStream(seed)
     m2s, m4s = [], []
-    for trial in range(trials):
-        sample = sample_de_tridiagonal(params, master.substream(trial))
+    for stream in _trial_streams(seed, 0, trials):
+        sample = sample_de_tridiagonal(params, stream)
         ev = tridiag_eigenvalues(TruncatedOperator(np.array(sample.s), np.array(sample.t)))
         m2s.append(float(np.mean(ev**2)))
         m4s.append(float(np.mean(ev**4)))
@@ -544,9 +545,7 @@ def semicircle_moment_test(
 
 def _coordinate_draws(beta: float, n: int, trials: int, seed: int, dense: bool, offset: int):
     rows = np.empty((trials, 2 * n - 1))
-    master = RandomStream(seed)
-    for trial in range(trials):
-        stream = master.substream(offset + trial)
+    for trial, stream in enumerate(_trial_streams(seed, offset, offset + trials)):
         if dense:
             sample = householder_tridiagonalize(sample_dense_gaussian(beta, n, stream))
         else:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -264,6 +265,11 @@ def test_importing_the_cli_leaves_mpmath_unloaded():
     assert not _loaded_by_importing_the_cli("mpmath")
 
 
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # the batched seeding builds its numpy.random subclass on first use
+    assert not _loaded_by_importing_the_cli("numpy.random")
+
+
 def test_dump_writes_non_finite_residuals_as_null():
     rec = {"trial": 3, "in_S": False, "clause": "count", "kappa_check_residual": math.inf}
     assert cli._dump(rec) == '{"clause": "count", "in_S": false, "kappa_check_residual": null, "trial": 3}'
@@ -329,3 +335,26 @@ def test_verify_rejects_negative_trials_and_empty_sizes(capsys, suite):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: {message}\n"
+
+
+# sha256 over the draw-only fields of `sample --n 3 --trials 300 --seed 7`:
+# the determinism contract, pinned without the LAPACK-dependent zeros
+DRAW_DIGESTS = {
+    "point:1": "f0c3d6748e017bd426f5528ba7de15088dd7c0bbbd4273b8f8e21506488a22eb",
+    "uniform:0.5:2": "b143a6ea5475b5ae18a35b3946d3a0bad41b56e6b4b27d809ca2b07d983ac67a",
+    "chi:3:0.5": "f39b217f484ea058eecf57b351c8136d3734d22ad043d2380d25d0eb3d0cff4a",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(DRAW_DIGESTS))
+def test_sample_draws_match_the_pinned_digest(capsys, spec):
+    argv = ["sample", "--n", "3", "--trials", "300", "--seed", "7", "--kappa", spec]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256()
+    lines = capsys.readouterr().out.splitlines()
+    for line in lines:
+        rec = json.loads(line)
+        fields = [rec[k] for k in ("trial", "s", "t", "kappa", "a", "b")]
+        digest.update(json.dumps(fields).encode() + b"\n")
+    assert len(lines) == 300
+    assert digest.hexdigest() == DRAW_DIGESTS[spec]

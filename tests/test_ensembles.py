@@ -17,6 +17,7 @@ from openrmt import (
     sample_dense_gaussian,
     sample_kappa,
 )
+from openrmt.ensembles import _seed_words, sample_coupled_trials
 
 SEED = 20240517
 
@@ -219,3 +220,67 @@ def test_sample_kappa_arrays_are_the_generator_draws():
             expected = 0.5 * np.sqrt(2.0 * gen.standard_gamma(1.5, 64))
         assert draws.shape == (64,)
         assert np.array_equal(draws, expected)
+
+
+SEED_WORD_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, SEED]
+EDGE_IDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", SEED_WORD_SEEDS)
+@pytest.mark.parametrize("parent_id", [0, 2**64 - 1])
+def test_batched_seed_words_match_numpy_seed_sequence(seed, parent_id):
+    parent = RandomStream(seed, parent_id)
+    ids = EDGE_IDS + [parent.substream(i).stream_id for i in range(1000)]
+    got = _seed_words(seed, np.array(ids, dtype=np.uint64))
+    want = np.array([np.random.SeedSequence((seed, i)).generate_state(4, np.uint64) for i in ids])
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, SEED])
+@pytest.mark.parametrize("parent_id", [0, 2**64 - 1])
+def test_substreams_equal_one_substream_at_a_time(seed, parent_id):
+    parent = RandomStream(seed, parent_id)
+    batch = parent.substreams(5, 45)
+    single = [parent.substream(i) for i in range(5, 45)]
+    assert [s.stream_id for s in batch] == [s.stream_id for s in single]
+    for got, want in zip(batch, single):
+        assert got.generator.bit_generator.state == want.generator.bit_generator.state
+        # one bounded draw leaves a buffered 32-bit half behind (has_uint32, uinteger)
+        assert got.generator.integers(1, 9) == want.generator.integers(1, 9)
+        assert got.generator.bit_generator.state == want.generator.bit_generator.state
+    assert parent.substreams(7, 7) == []
+    with pytest.raises(ValueError):
+        parent.substreams(-1, 3)
+
+
+def _reference_trial(params, stream):
+    """One coupled trial drawn as the block sampler did with array-shape calls."""
+    beta, n = params.beta, params.n
+    s = normal_sample(stream, 0.0, 2.0 / (beta * n), n)
+    if n > 1:
+        g = stream.generator.standard_gamma(0.5 * (beta * (n - np.arange(1, n))))
+        t = np.sqrt(2.0 * g) / math.sqrt(beta * n)
+    else:
+        t = np.empty(0)
+    kind, p = params.kappa.kind, params.kappa.params
+    if kind == "point":
+        return s, t, p[0]
+    if kind == "uniform":
+        return s, t, stream.generator.uniform(*p)
+    return s, t, float(chi_sample(stream, *p))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
+def test_coupled_trials_are_bit_identical_to_per_trial_array_draws(n, beta):
+    for spec in ("point:1.3", "uniform:0.5:2", "chi:3:0.5"):
+        params = EnsembleParams(beta, n, 1.0, KappaDistribution.from_spec(spec))
+        s, t, kappa = sample_coupled_trials(params, RandomStream(SEED).substreams(0, 24))
+        for i in range(24):
+            ref_s, ref_t, ref_kappa = _reference_trial(params, RandomStream(SEED).substream(i))
+            assert s[i].tobytes() == ref_s.tobytes()
+            assert t[i].tobytes() == ref_t.tobytes()
+            assert kappa[i].tobytes() == np.float64(ref_kappa).tobytes()
+        block = sample_de_tridiagonal(params, RandomStream(SEED).substream(3))
+        assert block.s == tuple(s[3].tolist()) and block.t == tuple(t[3].tolist())
