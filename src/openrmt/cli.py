@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -277,7 +278,9 @@ def _add_common(parser, seed: int):
     parser.add_argument("--out", default="-", help="output path, - for stdout")
 
 
+@functools.lru_cache(maxsize=8)
 def build_parser(seed: int) -> argparse.ArgumentParser:
+    """The parser whose --seed defaults to seed; cached, so it is built once per seed."""
     parser = argparse.ArgumentParser(prog="openrmt")
     sub = parser.add_subparsers(dest="command", required=True)
 

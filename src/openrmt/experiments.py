@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,7 +33,7 @@ from .ensembles import (
     sample_dense_gaussian,
     sample_kappa,
 )
-from .geronimo_case import gc_forward, gc_inverse_rows, lstar_rows
+from .geronimo_case import gc_forward, gc_inverse_blocks, lstar_blocks
 from .identities import (
     TOL_IDENTITY,
     TOL_IDENTITY_V,
@@ -109,6 +108,8 @@ def _chunked(fn: Callable, args_list: list, workers: int) -> list:
     """Run fn over the argument list, in order, optionally in processes."""
     if workers <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
+    from concurrent.futures import ProcessPoolExecutor  # only here: loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))
 
@@ -119,20 +120,25 @@ def _trial_streams(seed: int, start: int, stop: int):
         yield from RandomStream(seed).substreams(lo, min(lo + TRIAL_CHUNK, stop))
 
 
-def random_coefficients(stream: RandomStream, n: int, avoid_unit_last_a: bool = True) -> JacobiCoefficients:
-    """Random perturbed coefficients: a in (0.1, 3), b in (-3, 3).
+def _draw_coefficients(gen: np.random.Generator, n: int, avoid_unit_last_a: bool = True):
+    """Arrays a in (0.1, 3) and b in (-3, 3) of n random perturbed coefficients.
 
     The last a is redrawn while it sits within 1e-3 of 1 so the top
     recursion level never degenerates (the inverse map divides by the
     perturbation strength of that level).
     """
-    gen = stream.generator
     a = gen.uniform(0.1, 3.0, n)
     b = gen.uniform(-3.0, 3.0, n)
     if avoid_unit_last_a:
         while abs(a[-1] - 1.0) < 1e-3:
             a[-1] = gen.uniform(0.1, 3.0)
-    return JacobiCoefficients(tuple(float(x) for x in a), tuple(float(x) for x in b))
+    return a, b
+
+
+def random_coefficients(stream: RandomStream, n: int, avoid_unit_last_a: bool = True) -> JacobiCoefficients:
+    """Random perturbed coefficients of one substream, as drawn by _draw_coefficients."""
+    a, b = _draw_coefficients(stream.generator, n, avoid_unit_last_a)
+    return JacobiCoefficients(tuple(a.tolist()), tuple(b.tolist()))
 
 
 @dataclass(frozen=True)
@@ -323,21 +329,24 @@ def roundtrip_suite(
     draws (small a values), so by default both directions run at 40
     working digits; see the precision note in the recursion module.
     Trials are drawn one substream each and run as one forward and one
-    inverse pass per drawn n; a failed trial raises its exception, the
-    one of the lowest trial index when several fail.
+    inverse ladder pass over all of them, whatever their n; a failed trial
+    raises its exception, the one of the lowest trial index when several
+    fail.
     """
     t0 = time.perf_counter()
-    by_n: dict[int, list[tuple[int, JacobiCoefficients]]] = {}
+    ns = np.empty(trials, dtype=int)
+    a, b = np.empty((trials, max_n)), np.empty((trials, max_n))
     for trial, stream in enumerate(_trial_streams(seed, 0, trials)):
-        n = int(stream.generator.integers(1, max_n + 1))
-        by_n.setdefault(n, []).append((trial, random_coefficients(stream, n)))
+        gen = stream.generator
+        n = ns[trial] = int(gen.integers(1, max_n + 1))
+        a[trial, :n], b[trial, :n] = _draw_coefficients(gen, n)
+    groups = {n: np.flatnonzero(ns == n) for n in np.unique(ns).tolist()}
+    blocks = [(a[rows, :n], b[rows, :n]) for n, rows in groups.items()]
+    results = gc_inverse_blocks(lstar_blocks(blocks, precision), precision)
     errors, failed = [], []
-    for group in by_n.values():
-        a = np.array([coeffs.a for _, coeffs in group])
-        b = np.array([coeffs.b for _, coeffs in group])
-        got_a, got_b, failures = gc_inverse_rows(lstar_rows(a, b, precision), precision)
-        failed.extend((group[i][0], exc) for i, exc in failures.items())
-        want, got = np.hstack([a, b]), np.hstack([got_a, got_b])
+    for rows, (want_a, want_b), (got_a, got_b, failures) in zip(groups.values(), blocks, results):
+        failed.extend((rows[i], exc) for i, exc in failures.items())
+        want, got = np.hstack([want_a, want_b]), np.hstack([got_a, got_b])
         errors.append(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
     if failed:
         raise min(failed, key=lambda item: item[0])[1]

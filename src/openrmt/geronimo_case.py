@@ -27,19 +27,31 @@ Decimal.sqrt.  Plain floats are the default and are fine for every
 downstream consumer; coefficient recovery to near machine accuracy at n
 around 8 needs the extended path.
 
-Both directions also work on stacked coefficient sets, one row per set:
-lstar_rows and gc_inverse_rows run the same recursion on columns, each
-either a float64 array or, at precision p, an object array of Decimals,
-so every elementwise operation is the one the scalar ladder performs and
-a row's result never depends on the rest of the batch.  The inverse
+Both directions also work on stacked coefficient sets, one row per set,
+in one level pass over row blocks of every n: each of lstar_blocks and
+gc_inverse_blocks stacks its blocks by n, descending, so that the rows
+at work on a level are a prefix.  Upward, a block's L*_{2n} is read off
+when its last level ends; downward, a block joins at its top level
+k = n - 1 with its own finiteness and remainder checks.  The arrays are
+float64 or, at precision p, object arrays of Decimals, and every row
+gets exactly the elementwise operations of the one-row ladder, so a
+row's result never depends on the rest of the batch.  The inverse
 checks every row with masks and reports failures per row: a failed row
 is flagged with its InversionError and then carried along with harmless
-values, so no decimal signal fires for the other rows.  gc_inverse and
-k_from_lstar are the one-row calls of the same code.
+values, so no decimal signal fires for the other rows.  lstar_rows and
+gc_inverse_rows are the one-block calls, gc_inverse and k_from_lstar the
+one-row calls of the same code.
+
+The relative checks |x| > rtol max|L| of the inverse are screened: only
+rows with |x| > rtol * 1, rounded in the working context, take the row
+maximum.  The screen is exact because every ladder polynomial L is
+monic (its leading coefficient is carried as 1 + 0), so max|L| >= 1,
+and rounding is monotone, so |x| <= round(rtol) <= round(rtol max|L|).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from typing import Sequence
@@ -146,11 +158,37 @@ _to_decimal = np.frompyfunc(Decimal, 1, 1)
 _decimal_is_finite = np.frompyfunc(Decimal.is_finite, 1, 1)
 
 
+@contextmanager
+def _working_type(precision: int | None):
+    """Yield one and the conversion of an array-like to the working type.
+
+    That is float64, or at a precision an object array of exact Decimals,
+    inside a fresh context of that many digits.
+    """
+    if precision is None:
+        yield 1.0, lambda x: np.array(x, dtype=float)
+    else:
+        with localcontext(_context(precision)):
+            yield Decimal(1), lambda x: _to_decimal(np.asarray(x, dtype=object))
+
+
 def _flag(bad: np.ndarray, ok: np.ndarray, failures: dict, message) -> None:
     """Record message(i) for each row i still ok that fails a check, and clear it in ok."""
     for i in np.flatnonzero(bad & ok):
         failures[int(i)] = InversionError(message(i))
     ok &= ~bad
+
+
+def _exceeds(size: np.ndarray, L: np.ndarray, rtol, screen) -> np.ndarray:
+    """Row mask of size > rtol * max|L| for monic rows L, screened by screen = rtol * one.
+
+    NaN compares false on both sides, as in the unscreened check.
+    """
+    bad = size > screen
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        bad[rows] = size[rows] > rtol * np.abs(L[rows]).max(axis=1)
+    return bad
 
 
 def _k_rows(L: np.ndarray, one, ok: np.ndarray, failures: dict) -> np.ndarray:
@@ -174,14 +212,13 @@ def _k_rows(L: np.ndarray, one, ok: np.ndarray, failures: dict) -> np.ndarray:
     for start in (0, 1):
         q[:, start::2] = -np.cumsum(num[:, start + 2 :: 2][:, ::-1], axis=1)[:, ::-1]
     rem = [num[:, i] - q[:, i] if i < width else num[:, i] for i in (0, 1)]
-    scale = np.abs(L).max(axis=1)
-    bad = np.maximum(np.abs(rem[0]), np.abs(rem[1])) > type(one)(REMAINDER_RTOL) * scale
+    rtol = type(one)(REMAINDER_RTOL)
     _flag(
-        bad,
+        _exceeds(np.maximum(np.abs(rem[0]), np.abs(rem[1])), L, rtol, rtol * one),
         ok,
         failures,
         lambda i: f"division by 1 - z^2 left remainder {float(rem[0][i]):.3e}, "
-        f"{float(rem[1][i]):.3e} (scale {float(scale[i]):.3e})",
+        f"{float(rem[1][i]):.3e} (scale {float(np.abs(L[i]).max()):.3e})",
     )
     return q
 
@@ -207,33 +244,28 @@ def k_from_lstar(lstar: RealPolynomial) -> RealPolynomial:
     return RealPolynomial(k_from_lstar_rows([lstar.coeffs])[0].tolist())
 
 
-def _forward_steps(a, b, one):
-    """Yield the coefficient lists (L*_j, K_j) for j = 1..2n, one level at a time.
+def _forward_steps(a: np.ndarray, b: np.ndarray, one, active: Sequence[int] | None = None):
+    """Yield the row blocks (L*_j, K_j) for j = 1..2N, one level at a time.
 
-    Only the current level is kept, so a caller that needs L*_{2n} alone
-    holds O(n) numbers; a, b may be floats, Decimals or arrays of one
-    column per coefficient set.
+    a, b are (T, N) in the working type of one.  With active given, only
+    the first active[k] rows climb level k + 1: rows sorted by their own
+    n, descending, leave as a suffix.  Only the current level is kept.
     """
-    zero = one - one
-    L, K = [one], [one]
-    for j in range(len(a)):
-        bj = b[j]
-        L1 = [zero] + L
-        for i in range(len(K)):
-            L1[i] = L1[i] - bj * K[i]
-        c = a[j] * a[j] - one
-        L2 = [zero] + L1
-        K2 = [zero] + L1
-        for i in range(len(K)):
-            L2[i] = L2[i] - c * K[i]
-            K2[i] = K2[i] + K[i]
+    rows = len(a)
+    c, pad = a * a - one, np.full((rows, 1), one - one)
+    L = K = np.full((rows, 1), one)
+    for k in range(a.shape[1]):
+        live = rows if active is None else active[k]
+        L, K, width = L[:live], K[:live], K.shape[1]
+        L1 = np.concatenate([pad[:live], L], axis=1)
+        L1[:, :width] = L1[:, :width] - b[:live, k, None] * K
+        L2 = np.concatenate([pad[:live], L1], axis=1)
+        K2 = L2.copy()
+        L2[:, :width] = L2[:, :width] - c[:live, k, None] * K
+        K2[:, :width] = K2[:, :width] + K
         yield L1, K
         yield L2, K2
         L, K = L2, K2
-
-
-def _forward_lists(a, b, one):
-    return [([one], [one]), *_forward_steps(a, b, one)]
 
 
 def gc_forward(coeffs: JacobiCoefficients, precision: int | None = None) -> GCSequence:
@@ -245,80 +277,105 @@ def gc_forward(coeffs: JacobiCoefficients, precision: int | None = None) -> GCSe
     coefficients and a subsequent extended-precision inversion loses
     nothing.
     """
-    if precision is None:
-        seq = _forward_lists([float(x) for x in coeffs.a], [float(x) for x in coeffs.b], 1.0)
-    else:
-        with localcontext(_context(precision)):
-            seq = _forward_lists(
-                [Decimal(x) for x in coeffs.a], [Decimal(x) for x in coeffs.b], Decimal(1)
-            )
+    with _working_type(precision) as (one, convert):
+        steps = _forward_steps(convert([coeffs.a]), convert([coeffs.b]), one)
+        seq = [([one], [one])] + [(L[0].tolist(), K[0].tolist()) for L, K in steps]
     lstars = tuple(RealPolynomial(L, trim=False) for L, _ in seq)
     ks = tuple(RealPolynomial(K, trim=False) for _, K in seq)
     return GCSequence(lstars, ks)
 
 
+def lstar_blocks(blocks: list, precision: int | None = None) -> list[np.ndarray]:
+    """lstar_rows of several blocks (a, b), each (T_i, n_i), in one upward pass.
+
+    The rows climb stacked by n, descending, and a block's L*_{2n} is read
+    off when its last level ends.  Returns the (T_i, 2 n_i + 1) rows of
+    each block in the order given, each what lstar_rows gives it alone.
+    """
+    order = sorted(range(len(blocks)), key=lambda i: -np.shape(blocks[i][0])[1])
+    ns = [np.shape(blocks[i][0])[1] for i in order]
+    offsets = np.cumsum([0] + [len(blocks[i][0]) for i in order]).tolist()
+    spans = list(zip(order, ns, offsets, offsets[1:]))
+    finals = [None] * len(blocks)
+    with _working_type(precision) as (one, convert):
+        a = np.full((offsets[-1], max(ns, default=0)), one)
+        b = a.copy()
+        for i, n, lo, hi in spans:
+            a[lo:hi, :n], b[lo:hi, :n] = map(convert, blocks[i])
+        active = [offsets[sum(n > k for n in ns)] for k in range(a.shape[1])]
+        for level, (L, _) in enumerate(_forward_steps(a, b, one, active), start=1):
+            for i, n, lo, hi in spans:
+                if 2 * n == level:
+                    finals[i] = L[lo:hi]
+    return finals
+
+
 def lstar_rows(a: np.ndarray, b: np.ndarray, precision: int | None = None) -> np.ndarray:
     """Coefficients (T, 2n + 1) of L*_{2n} for stacked coefficient rows a, b (T, n).
 
-    The ladder of gc_forward run on columns, one per coefficient: float
-    columns, or with precision given object columns of exact Decimals
-    rounded at that many digits per step.
+    The ladder of gc_forward run on a block of rows: float64, or with
+    precision given object arrays of exact Decimals rounded at that many
+    digits per step.
     """
-    rows = a.shape[0]
-    if precision is None:
-        for lstar, _ in _forward_steps(list(a.T), list(b.T), 1.0):
-            pass
-    else:
-        with localcontext(_context(precision)):
-            a, b = _to_decimal(a), _to_decimal(b)
-            for lstar, _ in _forward_steps(list(a.T), list(b.T), Decimal(1)):
-                pass
-    return np.column_stack([np.broadcast_to(c, (rows,)) for c in lstar])
+    return lstar_blocks([(a, b)], precision)[0]
 
 
-def _inverse_rows(L: np.ndarray, one) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """The downward recursion on the rows of L (T, 2n + 1), in the working type of one.
+def _inverse_pass(blocks: list, one) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """The downward recursion on blocks of rows L*_{2n} sorted by n, descending, in the type of one.
 
     Every check is a row mask.  A row that fails one is flagged with its
     InversionError and carries on with a^2 = 1 (a non-finite row with
-    L* = z^{2n}), so that no later operation of the batch can signal.
-    Returns a, b (T, n) in the working type, the mask of unflagged rows
-    and the failures.
+    L* = z^{2n}), so that no later operation of the pass can signal.
+    Returns a, b (T, N) in the working type, a row of n in its first n
+    columns, the mask of unflagged rows and the failures, rows numbered
+    through the blocks.
     """
     cast = type(one)
     rtol, min_asq = cast(REMAINDER_RTOL), cast(MIN_A_SQUARED)
-    zero = one - one
-    rows, width = L.shape
-    if width < 3 or width % 2 == 0:
-        raise ValueError("gc_inverse needs a monic polynomial of even degree >= 2")
-    if not np.all(L[:, -1] == one):
-        raise ValueError("gc_inverse needs a monic polynomial")
-    n = width // 2
+    screen, zero = rtol * one, one - one
+    for L in blocks:
+        _, width = L.shape
+        if width < 3 or width % 2 == 0:
+            raise ValueError("gc_inverse needs a monic polynomial of even degree >= 2")
+        if not np.all(L[:, -1] == one):
+            raise ValueError("gc_inverse needs a monic polynomial")
+    n, rows = (blocks[0].shape[1] // 2 if blocks else 0), sum(map(len, blocks))
+    a, b = np.full((rows, n), one), np.full((rows, n), one)
     ok = np.ones(rows, dtype=bool)
     failures: dict[int, InversionError] = {}
-    finite = np.isfinite(L) if L.dtype != object else _decimal_is_finite(L).astype(bool)
-    bad = ~finite.all(axis=1)
-    _flag(bad, ok, failures, lambda i: f"non-finite coefficient in {RealPolynomial(L[i])!r}")
-    L[bad, :-1] = zero
-    K = _k_rows(L, one, ok, failures)
-    a = np.empty((rows, n), dtype=L.dtype)
-    b = np.empty((rows, n), dtype=L.dtype)
+    L = K = np.full((0, 2 * n + 1), one)
+    pending = list(blocks)
     for k in range(n - 1, -1, -1):
         top = 2 * k + 1
-        tol = rtol * np.abs(L).max(axis=1)
+        while pending and pending[0].shape[1] == top + 2:
+            new, lo = pending.pop(0), len(L)
+            new_ok, new_failures = ok[lo : lo + len(new)], {}
+            finite = np.isfinite(new) if new.dtype != object else _decimal_is_finite(new).astype(bool)
+            bad = ~finite.all(axis=1)
+            _flag(
+                bad,
+                new_ok,
+                new_failures,
+                lambda i: f"non-finite coefficient in {RealPolynomial(new[i])!r}",
+            )
+            new[bad, :-1] = zero
+            K = np.concatenate([K, _k_rows(new, one, new_ok, new_failures)])
+            L = np.concatenate([L, new])
+            failures.update((lo + i, exc) for i, exc in new_failures.items())
+        live = ok[: len(L)]
         asq = one - L[:, 0]
         _flag(
             asq <= min_asq,
-            ok,
+            live,
             failures,
             lambda i: f"level {k + 1}: 1 - L*(0) = {float(asq[i]):.3e} is not positive",
         )
-        asq = np.where(ok, asq, one)
-        a[:, k] = np.sqrt(asq)
+        asq = np.where(live, asq, one)
+        a[: len(L), k] = np.sqrt(asq)
         # K at the odd level has degree 2k; the top two differences are structural zeros
         _flag(
-            np.abs(K[:, top] - L[:, top]) > tol,
-            ok,
+            _exceeds(np.abs(K[:, top] - L[:, top]), L, rtol, screen),
+            live,
             failures,
             lambda i: f"level {k + 1}: companion mismatch "
             f"{abs(float(K[i, top]) - float(L[i, top])):.3e}",
@@ -327,17 +384,17 @@ def _inverse_rows(L: np.ndarray, one) -> tuple[np.ndarray, np.ndarray, np.ndarra
         c = (asq - one)[:, None]
         t = np.concatenate([L[:, :top] + c * K1, L[:, top:] + zero], axis=1)
         _flag(
-            np.abs(t[:, 0]) > tol,
-            ok,
+            _exceeds(np.abs(t[:, 0]), L, rtol, screen),
+            live,
             failures,
             lambda i: f"level {k + 1}: odd-step constant term {float(t[i, 0]):.3e} not zero",
         )
         L1 = t[:, 1:]
-        b[:, k] = -L1[:, 0]
-        t = np.concatenate([L1[:, :top] + b[:, k, None] * K1, L1[:, top:] + zero], axis=1)
+        b[: len(L), k] = -L1[:, 0]
+        t = np.concatenate([L1[:, :top] + b[: len(L), k, None] * K1, L1[:, top:] + zero], axis=1)
         _flag(
-            np.abs(t[:, 0]) > rtol * np.abs(L1).max(axis=1),
-            ok,
+            _exceeds(np.abs(t[:, 0]), L1, rtol, screen),
+            live,
             failures,
             lambda i: f"level {k + 1}: even-step constant term {float(t[i, 0]):.3e} not zero",
         )
@@ -352,6 +409,29 @@ def _inverse_rows(L: np.ndarray, one) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return a, b, ok, failures
 
 
+def gc_inverse_blocks(blocks: list, precision: int | None = None) -> list[tuple]:
+    """gc_inverse_rows of several blocks of rows L*_{2n} (T_i, 2 n_i + 1), in one downward pass.
+
+    Returns (a, b, failures) of each block in the order given, each what
+    gc_inverse_rows gives that block alone.
+    """
+    with _working_type(precision) as (one, convert), np.errstate(over="ignore", invalid="ignore"):
+        blocks = [convert(L) for L in blocks]
+        order = sorted(range(len(blocks)), key=lambda i: -blocks[i].shape[1])
+        a, b, ok, failures = _inverse_pass([blocks[i] for i in order], one)
+    out, lo = [None] * len(blocks), 0
+    for i in order:
+        hi, n = lo + len(blocks[i]), blocks[i].shape[1] // 2
+        got_a, got_b, got_ok = a[lo:hi, :n].astype(float), b[lo:hi, :n].astype(float), ok[lo:hi]
+        got = {j - lo: exc for j, exc in failures.items() if lo <= j < hi}
+        for j, exc in coefficient_failures(got_a, got_b).items():
+            if got_ok[j]:
+                got[j], got_ok[j] = exc, False
+        got_a[~got_ok] = got_b[~got_ok] = np.nan
+        out[i], lo = (got_a, got_b, got), hi
+    return out
+
+
 def gc_inverse_rows(
     lstar: np.ndarray, precision: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, dict[int, ValueError]]:
@@ -359,7 +439,7 @@ def gc_inverse_rows(
 
     lstar is (T, 2n + 1) in ascending degree, every row monic; entries may
     be floats, ints or Decimals.  With precision given (decimal digits)
-    they enter as exact Decimals and the recursion runs on object columns
+    they enter as exact Decimals and the recursion runs on object arrays
     of Decimals at that many digits, as in gc_forward; without it they
     are rounded to floats.  Each row is recovered on its own: a row's
     values and failure do not depend on the other rows of the batch.
@@ -372,21 +452,7 @@ def gc_inverse_rows(
     Failed rows read NaN.  Raises ValueError when the rows do not have
     even degree >= 2 or are not monic.
     """
-    if precision is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            a, b, ok, failures = _inverse_rows(np.array(lstar, dtype=float), 1.0)
-    else:
-        with localcontext(_context(precision)):
-            L = _to_decimal(np.asarray(lstar, dtype=object))
-            a, b, ok, failures = _inverse_rows(L, Decimal(1))
-    a, b = a.astype(float), b.astype(float)
-    for i, exc in coefficient_failures(a, b).items():
-        if ok[i]:
-            failures[i] = exc
-            ok[i] = False
-    a[~ok] = np.nan
-    b[~ok] = np.nan
-    return a, b, failures
+    return gc_inverse_blocks([lstar], precision)[0]
 
 
 def gc_inverse(lstar_2n: RealPolynomial, precision: int | None = None) -> JacobiCoefficients:

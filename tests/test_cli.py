@@ -270,6 +270,22 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     assert not _loaded_by_importing_the_cli("numpy.random")
 
 
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # experiments imports ProcessPoolExecutor only when workers > 1
+    assert not _loaded_by_importing_the_cli("concurrent.futures.process")
+
+
+def test_in_process_calls_honour_a_changed_seed_variable(monkeypatch, capsys):
+    """The parser is cached per default seed, so each call reads OPENRMT_SEED afresh."""
+    argv = ["verify", "roundtrip", "--trials", "2", "--max-n", "2"]
+    seeds = []
+    for seed in ("11", "12", "11"):
+        monkeypatch.setenv("OPENRMT_SEED", seed)
+        assert cli.main(argv) == 0
+        seeds.append(json.loads(capsys.readouterr().out)["seed"])
+    assert seeds == [11, 12, 11]
+
+
 def test_dump_writes_non_finite_residuals_as_null():
     rec = {"trial": 3, "in_S": False, "clause": "count", "kappa_check_residual": math.inf}
     assert cli._dump(rec) == '{"clause": "count", "in_S": false, "kappa_check_residual": null, "trial": 3}'

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -12,6 +13,7 @@ from openrmt import (
     KappaDistribution,
     RandomStream,
     SpectrumConfiguration,
+    cli,
     dense_vs_tridiagonal_test,
     density_mc_compare_n1,
     density_normalization_n1,
@@ -125,6 +127,29 @@ def test_roundtrip_suite_raises_the_first_failing_trial(seed, message):
     with pytest.raises(InversionError) as reference:
         _roundtrip_reference(200, seed, 32)
     assert str(batched.value) == str(reference.value) == message
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (1, "cfa82edd1d3ad1dbdb0ce96036e19291cc96f28c2459c4dac97dbdebf5d87519"),
+        (5, "3317ded8083e93675644c0545c2776ba20f0bcb740764898641fd583317dc265"),
+        (7, "6cb8b714c46d977677797b92a6641884d1a5a7930e57f8d1378352910ca7b170"),
+    ],
+)
+def test_verify_roundtrip_report_bytes_are_pinned(capsys, seed, digest):
+    """sha256 of the sorted-key report without elapsed_seconds, as the per-n suite wrote it."""
+    assert cli.main(["verify", "roundtrip", "--seed", str(seed)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["statistics"]["elapsed_seconds"]
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_verify_roundtrip_error_line_is_pinned(capsys):
+    assert cli.main(["verify", "roundtrip", "--max-n", "32", "--seed", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: level 5: 1 - L*(0) = -1.391e+00 is not positive\n"
 
 
 def test_identity_suite_small():

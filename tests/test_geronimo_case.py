@@ -17,12 +17,17 @@ from openrmt import (
     k_from_lstar,
     random_coefficients,
     reversal,
+    roundtrip_suite,
 )
 from openrmt.geronimo_case import (
     MIN_A_SQUARED,
     REMAINDER_RTOL,
-    _forward_lists,
+    _exceeds,
+    _forward_steps,
+    gc_inverse_blocks,
     gc_inverse_rows,
+    k_from_lstar_rows,
+    lstar_blocks,
     lstar_rows,
 )
 
@@ -145,8 +150,10 @@ def test_extended_ladder_matches_an_mpmath_oracle():
         coeffs = _random_coeffs(gen, n)
         got = gc_forward(coeffs, precision=50).final.coeffs
         with mpmath.workdps(60):
-            a, b = [mpmath.mpf(x) for x in coeffs.a], [mpmath.mpf(x) for x in coeffs.b]
-            want = _forward_lists(a, b, mpmath.mpf(1))[-1][0]
+            a = np.array([[mpmath.mpf(x) for x in coeffs.a]], dtype=object)
+            b = np.array([[mpmath.mpf(x) for x in coeffs.b]], dtype=object)
+            *_, (want, _) = _forward_steps(a, b, mpmath.mpf(1))
+            want = want[0]
             assert len(got) == len(want) == 2 * n + 1
             for g, w in zip(got, want):
                 assert isinstance(g, Decimal)
@@ -404,3 +411,67 @@ def test_batched_ladder_leaves_the_callers_decimal_context_alone():
     assert [c.as_tuple() for c in again[0]] == [c.as_tuple() for c in want]
     ok = [i for i in range(len(lstar)) if i not in failures]
     assert got_a[ok].tolist() == clean_a[ok].tolist() and got_b[ok].tolist() == clean_b[ok].tolist()
+
+
+def _bits(rows):
+    """Every entry of a block by its repr, which pins floats and Decimals digit for digit."""
+    return [[repr(x) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("precision", [40, None])
+def test_mixed_n_blocks_equal_their_one_block_calls(precision):
+    """One pass over blocks of n = 3, 8, 1, 4, 8 gives each block its one-block result.
+
+    Poisoned rows sit in blocks of different n: a non-finite coefficient
+    (n = 8), 1 - L*(0) = 0 at the top level (n = 3) and a tiny-a row whose
+    companion check fails (n = 4).
+    """
+    master = RandomStream(SEED + 8)
+    blocks = []
+    for n, rows in ((3, 5), (8, 4), (1, 6), (4, 3), (8, 2)):
+        sets = [random_coefficients(master.substream(10 * len(blocks) + i), n) for i in range(rows)]
+        blocks.append((np.array([c.a for c in sets]), np.array([c.b for c in sets])))
+    blocks[3][0][1] = 1.5e-6
+    blocks[3][1][1] = np.linspace(-0.5, 0.5, 4)
+    lstars = lstar_blocks(blocks, precision)
+    for (a, b), lstar in zip(blocks, lstars):
+        assert _bits(lstar) == _bits(lstar_rows(a, b, precision))
+    lstars[0][2, 0] = 1
+    lstars[1][3, 4] = math.nan
+    messages = []
+    for lstar, (got_a, got_b, failures) in zip(lstars, gc_inverse_blocks(lstars, precision)):
+        one_a, one_b, one_failures = gc_inverse_rows(lstar, precision)
+        assert _bits(got_a) == _bits(one_a) and _bits(got_b) == _bits(one_b)
+        assert {i: str(e) for i, e in failures.items()} == {i: str(e) for i, e in one_failures.items()}
+        messages.append(sorted(str(e) for e in failures.values()))
+    assert "not positive" in messages[0][0] and len(messages[0]) == 1
+    assert messages[1][0].startswith("non-finite coefficient") and len(messages[1]) == 1
+    assert "companion mismatch" in messages[3][0] and len(messages[3]) == 1
+    assert messages[2] == messages[4] == []
+
+
+def test_empty_block_lists_and_blocks():
+    assert lstar_blocks([]) == [] and gc_inverse_blocks([], 40) == []
+    assert lstar_rows(np.empty((0, 3)), np.empty((0, 3)), 40).shape == (0, 7)
+    assert roundtrip_suite(0, 1).statistics["max_rel_error"] == 0.0
+
+
+@pytest.mark.parametrize("cast", [float, Decimal])
+def test_the_monic_screen_rechecks_against_the_row_maximum(cast):
+    """Sizes up to rtol pass unscreened; above it they meet rtol * max|L| = 3e-6 exactly."""
+    rtol = cast(REMAINDER_RTOL)
+    L = np.array([[cast(-3000), cast(0), cast(1)]] * 4)
+    size = np.array([cast("5e-10"), cast("2e-7"), cast("4e-6"), cast("3e-6")])
+    assert _exceeds(size, L, rtol, rtol * cast(1)).tolist() == [False, False, True, False]
+    assert not _exceeds(np.array([math.nan]), L[:1].astype(float), REMAINDER_RTOL, REMAINDER_RTOL)[0]
+
+
+def test_a_remainder_between_rtol_and_the_row_scale_passes():
+    """max|L| = 1e8: rounding leaves about 3e-9 in floats (passes) and 0.3 at 8 digits (flagged)."""
+    lstar = np.zeros((1, 11))
+    lstar[0, [1, 3, 9, 10]] = 1e8, 0.123456789, 0.3, 1.0
+    k_from_lstar_rows(lstar)
+    _, _, failures = gc_inverse_rows(lstar, precision=8)
+    assert str(failures[0]) == (
+        "division by 1 - z^2 left remainder 0.000e+00, 3.000e-01 (scale 1.000e+08)"
+    )
