@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 
 import numpy as np
 
@@ -126,15 +125,12 @@ def cmd_sample(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     with _open_out(args.out) as fh:
-        for rec in result.records:
-            fh.write(_dump(rec) + "\n")
-        for rec in result.failures:
-            fh.write(_dump(rec) + "\n")
-    rejected = Counter(rec["clause"] for rec in result.records if not rec["in_S"])
+        fh.writelines(line + "\n" for line in result.json_lines())
+    rejected = result.rejections()
     if rejected:
         by_clause = ", ".join(f"{clause}: {count}" for clause, count in sorted(rejected.items()))
         print(
-            f"warning: {sum(rejected.values())} of {len(result.records)} records not in S "
+            f"warning: {sum(rejected.values())} of {result.trials - result.failed} records not in S "
             f"({by_clause})",
             file=sys.stderr,
         )

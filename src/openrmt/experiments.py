@@ -14,9 +14,12 @@ with one retry on a fresh substream; both outcomes are logged.
 
 from __future__ import annotations
 
+import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -179,9 +182,13 @@ def _trial_batch(params: EnsembleParams, streams: list) -> _TrialBatch:
     return _TrialBatch(s, t, kappa, a, b, rows, residual, failures)
 
 
-def _pipeline_chunk(args) -> list[dict]:
+def _pipeline_chunk(args) -> tuple[int, _TrialBatch]:
     params, seed, start, stop = args
-    batch = _trial_batch(params, RandomStream(seed).substreams(start, stop))
+    return start, _trial_batch(params, RandomStream(seed).substreams(start, stop))
+
+
+def _record_dicts(start: int, batch: _TrialBatch) -> list[dict]:
+    """The record of every good row of one chunk, in trial order."""
     rows = batch.rows
     # one tolist per array and chunk, not per row
     s, t, kappa, a, b, residual = (
@@ -190,51 +197,166 @@ def _pipeline_chunk(args) -> list[dict]:
     real, imag = rows.points.real.tolist(), rows.points.imag.tolist()
     kept = (~np.isnan(rows.points)).tolist()
     labels = np.where(rows.eigenvalue, EIGENVALUE, RESONANCE).tolist()
-    out = []
-    for i, trial in enumerate(range(start, stop)):
-        if i in batch.failures:
-            exc = batch.failures[i]
-            out.append({"trial": trial, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        out.append(
-            {
-                "trial": trial,
-                "s": s[i],
-                "t": t[i],
-                "kappa": kappa[i],
-                "a": a[i],
-                "b": b[i],
-                "zeros": [
-                    [x, y, label]
-                    for x, y, label, keep in zip(real[i], imag[i], labels[i], kept[i])
-                    if keep
-                ],
-                "in_S": rows.clause[i] is None,
-                "clause": rows.clause[i],
-                "kappa_check_residual": residual[i],
-            }
-        )
+    return [
+        {
+            "trial": start + i,
+            "s": s[i],
+            "t": t[i],
+            "kappa": kappa[i],
+            "a": a[i],
+            "b": b[i],
+            "zeros": [
+                [x, y, label] for x, y, label, keep in zip(real[i], imag[i], labels[i], kept[i]) if keep
+            ],
+            "in_S": rows.clause[i] is None,
+            "clause": rows.clause[i],
+            "kappa_check_residual": residual[i],
+        }
+        for i in range(len(a))
+        if i not in batch.failures
+    ]
+
+
+_SIGN_BIT = np.int64(-(1 << 63))
+_INF_BITS = np.float64(math.inf).view(np.int64)
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """JSON text of every float64 value (repr, null when not finite), as an object array.
+
+    Each distinct magnitude is formatted once: values are grouped by the
+    bits of |x|, so 0.0 and -0.0 stay apart, and a set sign bit puts "-"
+    in front, because repr(-x) == "-" + repr(x).
+    """
+    bits = values.view(np.int64)
+    magnitude = bits & ~_SIGN_BIT
+    distinct, inverse = np.unique(magnitude, return_inverse=True)
+    finite = int(np.searchsorted(distinct, _INF_BITS))  # non-finite bit patterns sort last
+    text = list(map(repr, distinct[:finite].view(np.float64).tolist()))
+    text += ["null"] * (len(distinct) - finite)
+    out = np.array(text, dtype=object)[inverse]
+    negative = (bits < 0) & (magnitude < _INF_BITS)
+    out[negative] = "-" + out[negative]
     return out
 
 
-@dataclass(frozen=True)
+def _record_template(n: int, zeros: int) -> str:
+    """%-template of one good record line with zeros kept points: keys sorted, cells in order."""
+
+    def seq(count: int, item: str = "%s") -> str:
+        return "[" + ", ".join([item] * count) + "]"
+
+    return (
+        f'{{"a": {seq(n)}, "b": {seq(n)}, "clause": %s, "in_S": %s, "kappa": %s, '
+        f'"kappa_check_residual": %s, "s": {seq(n)}, "t": {seq(n - 1)}, "trial": %s, '
+        f'"zeros": {seq(zeros, "[%s, %s, %s]")}}}'
+    )
+
+
+def _record_lines(start: int, batch: _TrialBatch) -> list[str]:
+    """The JSON line of every good row of one chunk, in trial order.
+
+    Byte for byte what the sorted-key JSON encoder writes for
+    _record_dicts(start, batch), non-finite floats as null, rendered from
+    the arrays with every float of the chunk formatted in one pass.
+    """
+    rows = batch.rows
+    count, n = batch.a.shape
+    points = rows.points
+    xy = np.empty((count, 2 * points.shape[1]))
+    xy[:, 0::2], xy[:, 1::2] = points.real, points.imag
+    floats = np.concatenate(
+        [batch.a, batch.b, batch.kappa[:, None], batch.residual[:, None], batch.s, batch.t, xy], axis=1
+    )
+    text = _float_texts(floats.ravel()).reshape(count, -1)
+    lead = floats.shape[1] - xy.shape[1]  # a, b, kappa, residual, s, t
+    zeros = np.empty((count, points.shape[1], 3), dtype=object)
+    zeros[:, :, 0], zeros[:, :, 1] = text[:, lead::2], text[:, lead + 1 :: 2]
+    zeros[:, :, 2] = np.where(rows.eigenvalue, json.dumps(EIGENVALUE), json.dumps(RESONANCE))
+    clause_text = {clause: json.dumps(clause) for clause in set(rows.clause)}
+    verdicts = [[clause_text[clause], "true" if clause is None else "false"] for clause in rows.clause]
+    trials = [[str(trial)] for trial in range(start, start + count)]
+    cells = np.concatenate(
+        [
+            text[:, : 2 * n],
+            np.array(verdicts, dtype=object),
+            text[:, 2 * n : lead],
+            np.array(trials, dtype=object),
+            zeros.reshape(count, -1),
+        ],
+        axis=1,
+    ).tolist()
+    width = lead + 3  # cells before the zeros: the floats, clause, in_S and trial
+    kept = (~np.isnan(points)).sum(axis=1).tolist()
+    templates: dict[int, str] = {}
+    lines = []
+    for i, row in enumerate(cells):
+        if i in batch.failures:
+            continue
+        k = kept[i]
+        if k not in templates:
+            templates[k] = _record_template(n, k)
+        lines.append(templates[k] % tuple(row[: width + 3 * k]))
+    return lines
+
+
+@dataclass(frozen=True, eq=False)
 class SamplingResult:
-    records: list
-    failures: list
+    """The trials of one sampling run, kept as (first trial, _TrialBatch) per chunk.
+
+    records holds one dict per good trial and failures one error record
+    per failed trial, both in trial order and built on first access;
+    json_lines renders the same records as JSON text straight from the
+    chunk arrays.
+    """
+
+    chunks: list
 
     @property
     def trials(self) -> int:
-        return len(self.records) + len(self.failures)
+        return sum(len(batch.a) for _, batch in self.chunks)
+
+    @property
+    def failed(self) -> int:
+        return sum(len(batch.failures) for _, batch in self.chunks)
+
+    @cached_property
+    def records(self) -> list[dict]:
+        return [rec for start, batch in self.chunks for rec in _record_dicts(start, batch)]
+
+    @cached_property
+    def failures(self) -> list[dict]:
+        return [
+            {"trial": start + i, "error": f"{type(exc).__name__}: {exc}"}
+            for start, batch in self.chunks
+            for i, exc in sorted(batch.failures.items())
+        ]
+
+    def rejections(self) -> Counter:
+        """Count of the good records not in S, by violated clause."""
+        return Counter(
+            clause
+            for _, batch in self.chunks
+            for i, clause in enumerate(batch.rows.clause)
+            if clause is not None and i not in batch.failures
+        )
+
+    def json_lines(self) -> list[str]:
+        """Every record as one sorted-key JSON line: the good records by trial, then the failures."""
+        lines = [line for start, batch in self.chunks for line in _record_lines(start, batch)]
+        return lines + [json.dumps(rec, sort_keys=True) for rec in self.failures]
 
 
 def run_resonance_sampling(
     params: EnsembleParams, trials: int, seed: int, workers: int = 1
 ) -> SamplingResult:
-    """Sample the full pipeline per trial, recording zeros and checks.
+    """Sample the full pipeline, one array pass per chunk of trials, keeping zeros and checks.
 
-    Individual numerical failures are collected rather than raised, but a
-    failure rate above 0.1 percent aborts: that level cannot be explained
-    by unlucky draws near the degenerate strata.
+    Each chunk of TRIAL_CHUNK trials runs as one _trial_batch; the result
+    keeps the batches and builds record dicts or JSON lines from them on
+    request.  Individual numerical failures are collected rather than
+    raised, but a failure rate above 0.1 percent aborts: that level cannot
+    be explained by unlucky draws near the degenerate strata.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -242,14 +364,10 @@ def run_resonance_sampling(
         (params, seed, start, min(start + TRIAL_CHUNK, trials))
         for start in range(0, trials, TRIAL_CHUNK)
     ]
-    records: list[dict] = []
-    failures: list[dict] = []
-    for block in _chunked(_pipeline_chunk, chunk_args, workers):
-        for rec in block:
-            (failures if "error" in rec else records).append(rec)
-    if trials and len(failures) > MAX_FAILURE_RATE * trials:
-        raise RuntimeError(f"{len(failures)} of {trials} sampling trials failed")
-    return SamplingResult(records, failures)
+    result = SamplingResult(_chunked(_pipeline_chunk, chunk_args, workers))
+    if trials and result.failed > MAX_FAILURE_RATE * trials:
+        raise RuntimeError(f"{result.failed} of {trials} sampling trials failed")
+    return result
 
 
 def _membership_chunk(args) -> list[tuple]:
@@ -381,8 +499,9 @@ def identity_suite(trials: int, seed: int, max_n: int = 8) -> ExperimentReport:
     for stream in _trial_streams(seed, 0, trials):
         n = int(stream.generator.integers(1, max_n + 1))
         coeffs = random_coefficients(stream, n, avoid_unit_last_a=False)
+        ladder = gc_forward(coeffs)
         for m in range(1, 2 * n + 1):
-            report = check_zero_coefficient_identities(coeffs, m)
+            report = check_zero_coefficient_identities(coeffs, m, ladder=ladder)
             levels += 1
             for key in max_res:
                 max_res[key] = max(max_res[key], report.residuals[key])
@@ -424,8 +543,9 @@ def jacobian_suite(trials: int, seed: int, max_n: int = 5) -> ExperimentReport:
     for stream in _trial_streams(seed, 0, trials):
         n = int(stream.generator.integers(1, max_n + 1))
         coeffs = random_coefficients(stream, n, avoid_unit_last_a=False)
+        ladder = gc_forward(coeffs)
         for k in range(n):
-            rep = stepwise_jacobian_fd(coeffs, k)
+            rep = stepwise_jacobian_fd(coeffs, k, ladder=ladder)
             worst["jacobian_odd_step"] = max(
                 worst["jacobian_odd_step"], rep.residuals["jacobian_odd_step"]
             )

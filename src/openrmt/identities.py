@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geronimo_case import RealPolynomial, gc_forward, k_from_lstar_rows, lstar_rows
+from .geronimo_case import GCSequence, RealPolynomial, gc_forward, k_from_lstar_rows, lstar_rows
 from .jacobi import JacobiCoefficients
 from .spectra import polynomial_roots
 
@@ -62,7 +62,9 @@ def _rel_spread(*vals: complex) -> float:
     return max(abs(x - y) for x, y in combinations(vals, 2)) / scale
 
 
-def check_zero_coefficient_identities(coeffs: JacobiCoefficients, m: int) -> IdentityReport:
+def check_zero_coefficient_identities(
+    coeffs: JacobiCoefficients, m: int, ladder: GCSequence | None = None
+) -> IdentityReport:
     """Evaluate the five zero-coefficient identities at ladder level m.
 
     Each residual is the largest relative gap among the equivalent
@@ -74,12 +76,14 @@ def check_zero_coefficient_identities(coeffs: JacobiCoefficients, m: int) -> Ide
     pair gap min |1 - z_j z_k| is not small: near that locus the product
     is exponentially sensitive to the double rounding already present in
     the ladder coefficients, so no root polishing can recover it.
+    ladder is gc_forward(coeffs), computed here when not given.
     """
     n = coeffs.n
     if not 1 <= m <= 2 * n:
         raise ValueError(f"level m must be in 1..{2 * n}, got {m}")
-    seq = gc_forward(coeffs)
-    lst = seq.lstar[m]
+    if ladder is None:
+        ladder = gc_forward(coeffs)
+    lst = ladder.lstar[m]
     roots = polynomial_roots(lst)
     u = [float(c) for c in lst.coeffs]
     u0 = u[0]
@@ -181,26 +185,28 @@ def _even_step_map(v: np.ndarray) -> np.ndarray:
 
 
 def stepwise_jacobian_fd(
-    coeffs: JacobiCoefficients, k: int, h: float = FD_STEP
+    coeffs: JacobiCoefficients, k: int, h: float = FD_STEP, ladder: GCSequence | None = None
 ) -> IdentityReport:
     """Finite-difference determinants of the two ladder step maps at level k.
 
     The odd step (append b_{k+1}) has determinant -1; the even step
     (append a_{k+1}) has determinant -2 a_{k+1}^{2k+1}.  Both are exact
     constants because the companion polynomial is itself a linear
-    function of the u-coefficients.
+    function of the u-coefficients.  ladder is gc_forward(coeffs),
+    computed here when not given.
     """
     if not 0 <= k < coeffs.n:
         raise ValueError(f"step index k must be in 0..{coeffs.n - 1}")
     if not 1e-7 <= h <= 1e-4:
         raise ValueError("step size h must lie in [1e-7, 1e-4]")
-    seq = gc_forward(coeffs)
+    if ladder is None:
+        ladder = gc_forward(coeffs)
     ak = coeffs.a[k]
     bk = coeffs.b[k]
 
-    v1 = np.array(_u_descending(seq.lstar[2 * k]) + [bk])
+    v1 = np.array(_u_descending(ladder.lstar[2 * k]) + [bk])
     det1 = float(np.linalg.det(_fd_jacobian(_odd_step_map, v1, h)))
-    v2 = np.array(_u_descending(seq.lstar[2 * k + 1]) + [ak])
+    v2 = np.array(_u_descending(ladder.lstar[2 * k + 1]) + [ak])
     det2 = float(np.linalg.det(_fd_jacobian(_even_step_map, v2, h)))
 
     expected1 = -1.0

@@ -15,6 +15,7 @@ from openrmt import (
     SpectrumConfiguration,
     cli,
     dense_vs_tridiagonal_test,
+    experiments,
     density_mc_compare_n1,
     density_normalization_n1,
     gc_forward,
@@ -161,6 +162,18 @@ def test_identity_suite_small():
 def test_jacobian_suite_small():
     report = jacobian_suite(8, SEED, max_n=4)
     assert report.passed
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_suites_share_one_ladder_per_trial(monkeypatch, seed):
+    """One ladder per trial gives the reports of one ladder per check."""
+    shared = identity_suite(50, seed).to_dict(), jacobian_suite(50, seed).to_dict()
+    ladders = []
+    # the suites now get None, so every check computes its own ladder
+    monkeypatch.setattr(experiments, "gc_forward", ladders.append)
+    per_check = identity_suite(50, seed).to_dict(), jacobian_suite(50, seed).to_dict()
+    assert len(ladders) == 100
+    assert shared == per_check
 
 
 def test_ks_test_requires_samples_and_detects_shifts():

@@ -22,7 +22,7 @@ from openrmt import (
 )
 from openrmt import RandomStream, spectra
 from openrmt.ensembles import sample_coupled_trials
-from openrmt.experiments import _pipeline_chunk
+from openrmt.experiments import SamplingResult, _pipeline_chunk
 from openrmt.jacobi import coupled_coefficients, perturbation_orders
 
 SEED = 271828
@@ -79,9 +79,14 @@ def test_sample_n32_has_no_failing_record(capsys, tmp_path):
 @pytest.mark.parametrize("n, kappa", [(3, CHI), (8, CHI), (3, KappaDistribution("point", (1.0,)))])
 def test_records_do_not_depend_on_chunk_bounds(n, kappa):
     params = EnsembleParams(2.0, n, 1.0, kappa)
-    whole = _pipeline_chunk((params, SEED, 0, 512))
-    split = _pipeline_chunk((params, SEED, 0, 137)) + _pipeline_chunk((params, SEED, 137, 512))
-    assert [cli._dump(rec) for rec in whole] == [cli._dump(rec) for rec in split]
+
+    def result(*bounds):
+        return SamplingResult([_pipeline_chunk((params, SEED, lo, hi)) for lo, hi in bounds])
+
+    whole, split = result((0, 512)), result((0, 137), (137, 512))
+    assert [cli._dump(rec) for rec in whole.records] == [cli._dump(rec) for rec in split.records]
+    assert whole.failures == split.failures
+    assert whole.json_lines() == split.json_lines()
 
 
 def test_row_blocks_do_not_change_zeros_or_verdicts(monkeypatch):
