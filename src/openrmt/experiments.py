@@ -304,13 +304,20 @@ def _record_lines(start: int, batch: _TrialBatch) -> list[str]:
 class SamplingResult:
     """The trials of one sampling run, kept as (first trial, _TrialBatch) per chunk.
 
+    Built from the chunks, SamplingResult(chunks), not from record lists.
     records holds one dict per good trial and failures one error record
     per failed trial, both in trial order and built on first access;
     json_lines renders the same records as JSON text straight from the
-    chunk arrays.
+    chunk arrays.  Two results are equal when their records and failures
+    are.
     """
 
     chunks: list
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.records, self.failures) == (other.records, other.failures)
 
     @property
     def trials(self) -> int:
@@ -327,7 +334,7 @@ class SamplingResult:
     @cached_property
     def failures(self) -> list[dict]:
         return [
-            {"trial": start + i, "error": f"{type(exc).__name__}: {exc}"}
+            {"trial": start + int(i), "error": f"{type(exc).__name__}: {exc}"}
             for start, batch in self.chunks
             for i, exc in sorted(batch.failures.items())
         ]

@@ -163,7 +163,7 @@ def test_failures_follow_every_good_record(monkeypatch, capsys):
 
     def rows_fail(roots, k):
         rows = real(roots, k)
-        for i in (3, 1):  # inserted out of order
+        for i in np.array([3, 1]):  # numpy int keys, as np.flatnonzero gives, out of order
             if i < len(rows.points):
                 rows.failures[i] = ConjugationError(f"root {i} has no conjugate partner")
         return rows
@@ -185,6 +185,7 @@ def test_failures_follow_every_good_record(monkeypatch, capsys):
     params = EnsembleParams(2.0, 2, 1.0, KappaDistribution("chi", (3.0, 0.5)))
     result = run_resonance_sampling(params, 12, SEED)
     assert lines == result.json_lines() == _oracle(result)
+    assert all(type(rec["trial"]) is int for rec in result.failures)
     assert out.err == ""
 
 
@@ -193,7 +194,7 @@ def test_too_many_failures_abort_before_writing(monkeypatch, capsys):
 
     def row_fails(roots, k):
         rows = real(roots, k)
-        rows.failures[0] = ConjugationError("unpaired")
+        rows.failures[np.intp(0)] = ConjugationError("unpaired")
         return rows
 
     monkeypatch.setattr(experiments, "resolve_rows", row_fails)
@@ -222,7 +223,7 @@ def test_csv_and_warning_come_from_the_one_run(monkeypatch, capsys, tmp_path):
     def rows_reject_and_fail(roots, k):
         rows = real_rows(roots, k)
         rows.clause[0], rows.clause[2], rows.clause[3] = "ii", "iv.c", "ii"
-        rows.failures[2] = ConjugationError("unpaired")
+        rows.failures[np.intp(2)] = ConjugationError("unpaired")
         return rows
 
     monkeypatch.setattr(experiments, "_trial_batch", counted_batch)
@@ -245,3 +246,12 @@ def test_csv_and_warning_come_from_the_one_run(monkeypatch, capsys, tmp_path):
     ]
     assert csv_path.read_bytes() == "".join(row + "\r\n" for row in want).encode()
     assert [rec["trial"] for rec in records if "error" in rec] == [2, 10, 18]
+
+
+def test_results_compare_by_records_and_failures():
+    params = EnsembleParams(2.0, 3, 1.0, KappaDistribution("chi", (3.0, 0.5)))
+    one = run_resonance_sampling(params, 30, SEED)
+    assert one == run_resonance_sampling(params, 30, SEED)
+    assert one == SamplingResult([_pipeline_chunk((params, SEED, lo, lo + 10)) for lo in (0, 10, 20)])
+    assert one != run_resonance_sampling(params, 30, SEED + 1)
+    assert one != run_resonance_sampling(params, 29, SEED)
