@@ -10,15 +10,12 @@ zero density against direct Monte Carlo.
 """
 
 from .density import (
-    DensityParams,
     LogDensityValue,
     NormalizationConstants,
     SingularConfigurationError,
+    log_density,
     log_density_batch,
-    log_density_kappa1,
-    log_density_random_kappa,
     normalization_constants,
-    wedge_factor,
 )
 from .ensembles import (
     EnsembleParams,
@@ -56,9 +53,7 @@ from .geronimo_case import (
     gc_forward,
     gc_inverse,
     gc_inverse_rows,
-    k_from_lstar,
     lstar_rows,
-    reversal,
 )
 from .identities import (
     IdentityReport,
@@ -85,7 +80,6 @@ from .spectra import (
     SpectrumConfiguration,
     canonicalize_conjugates,
     classify,
-    inverse_joukowsky,
     is_in_S,
     joukowsky,
     polynomial_roots,
@@ -96,7 +90,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConjugationError",
-    "DensityParams",
     "EIGENVALUE",
     "EnsembleParams",
     "ExperimentReport",
@@ -133,15 +126,12 @@ __all__ = [
     "gc_inverse_rows",
     "householder_tridiagonalize",
     "identity_suite",
-    "inverse_joukowsky",
     "is_in_S",
     "jacobian_suite",
     "joukowsky",
-    "k_from_lstar",
     "ks_test",
+    "log_density",
     "log_density_batch",
-    "log_density_kappa1",
-    "log_density_random_kappa",
     "lstar_rows",
     "membership_suite",
     "normal_sample",
@@ -150,7 +140,6 @@ __all__ = [
     "polynomial_roots",
     "random_coefficients",
     "resolve",
-    "reversal",
     "roundtrip_suite",
     "run_resonance_sampling",
     "sample_de_tridiagonal",
@@ -162,5 +151,4 @@ __all__ = [
     "total_jacobian_fd",
     "tridiag_eigenvalues",
     "truncate",
-    "wedge_factor",
 ]

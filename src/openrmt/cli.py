@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .density import DensityParams, log_density_kappa1, log_density_random_kappa
+from .density import log_density
 from .ensembles import EnsembleParams, KappaDistribution
 from .experiments import (
     density_mc_compare_n1,
@@ -102,6 +102,13 @@ def _read_text(path: str) -> str:
 
 def _usage(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
+
+
+def _write_report(report, path: str) -> int:
+    """Write a report as one JSON line; exit status 0 if it passed, else 1."""
+    with _open_out(path) as fh:
+        fh.write(_dump(report.to_dict()) + "\n")
+    return 0 if report.passed else 1
 
 
 def _parse_kappa(text: str) -> KappaDistribution:
@@ -202,9 +209,7 @@ def cmd_verify(args) -> int:
     else:  # pragma: no cover - argparse choices guard this
         _usage(f"unknown suite {args.suite!r}")
         return 2
-    with _open_out(args.out) as fh:
-        fh.write(_dump(report.to_dict()) + "\n")
-    return 0 if report.passed else 1
+    return _write_report(report, args.out)
 
 
 def _config_from_points(points):
@@ -218,9 +223,7 @@ def cmd_density(args) -> int:
         report = density_normalization_n1(
             args.beta, gamma=args.gamma, kappa_dist=kappa, radius=args.radius
         )
-        with _open_out(args.out) as fh:
-            fh.write(_dump(report.to_dict()) + "\n")
-        return 0 if report.passed else 1
+        return _write_report(report, args.out)
     if args.mode == "mc-compare":
         if args.trials < 100_000:
             _usage("mc-compare needs at least 100000 trials for stable bins")
@@ -235,22 +238,14 @@ def cmd_density(args) -> int:
             workers=args.workers,
             radius=args.radius,
         )
-        with _open_out(args.out) as fh:
-            fh.write(_dump(report.to_dict()) + "\n")
-        return 0 if report.passed else 1
+        return _write_report(report, args.out)
 
-    # eval mode: configuration points from JSON, parity picks the variant
+    # eval mode: configuration points from JSON, their count picks n and the law
     doc = json.loads(_read_text(args.input))
     points = doc["points"] if isinstance(doc, dict) else doc
     config = _config_from_points(points)
-    if config.count % 2 == 0:
-        n = config.count // 2
-        params = DensityParams(args.beta, n, args.gamma, kappa)
-        value = log_density_random_kappa(config, params)
-    else:
-        n = (config.count + 1) // 2
-        params = DensityParams(args.beta, n, args.gamma, kappa)
-        value = log_density_kappa1(config, params)
+    n = (config.count + 1) // 2
+    value = log_density(config, EnsembleParams(args.beta, n, args.gamma, kappa))
     out_doc = {
         "count": config.count,
         "n": n,

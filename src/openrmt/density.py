@@ -18,10 +18,10 @@ The formula is evaluated once, by :func:`log_density_batch`, on stacked
 configurations in the coordinates of the wedge measure 1/(M! L!): L
 real points and one member of each of M conjugate pairs per row.  The
 point count L + 2M picks the law: 2n is the random-kappa density, 2n - 1
-the kappa = 1 density.  :func:`log_density_random_kappa` and
-:func:`log_density_kappa1` add the support, membership and singularity
-checks around a one-row call, and the n = 1 quadrature and binning in
-the experiments module evaluate it on whole grids.
+the kappa = 1 density.  :func:`log_density` adds the support,
+membership and singularity checks around a one-row call, and the n = 1
+quadrature and binning in the experiments module evaluate it on whole
+grids.
 
 Everything is computed in log space; the constants grow like
 exp(beta n^2 / (2 gamma^2)) and would overflow double precision well
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import KappaDistribution, check_model_params
+from .ensembles import EnsembleParams
 from .spectra import SpectrumConfiguration, _row_blocks, is_in_S
 
 SINGULAR_TOL = 1e-14
@@ -43,23 +43,6 @@ SINGULAR_TOL = 1e-14
 
 class SingularConfigurationError(ValueError):
     """A point sits on the density's singular set (z_j^2 = 1)."""
-
-
-@dataclass(frozen=True)
-class DensityParams:
-    """Model parameters for density evaluation.
-
-    kappa_dist is required (and must have a density) on the random-kappa
-    path; the kappa = 1 path ignores it.
-    """
-
-    beta: float
-    n: int
-    gamma: float = 1.0
-    kappa_dist: KappaDistribution | None = None
-
-    def __post_init__(self) -> None:
-        check_model_params(self.beta, self.n, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -102,7 +85,7 @@ class NormalizationConstants:
         return math.exp(self.log_c)
 
 
-def normalization_constants(params: DensityParams) -> NormalizationConstants:
+def normalization_constants(params: EnsembleParams) -> NormalizationConstants:
     """Constants for the 2n-point, (2n-1)-point, and coefficient densities.
 
     All three share the power of 2 gamma^2/(beta n) and the gamma-function
@@ -134,28 +117,12 @@ def normalization_constants(params: DensityParams) -> NormalizationConstants:
     return NormalizationConstants(log_d_even, log_d_odd, log_c)
 
 
-def wedge_factor(m_pairs: int, l_real: int, count: int | None = None) -> float:
-    """Ordering factor 1/(M! L!) of the wedge measure.
-
-    In (x_j, y_j) coordinates for pairs and r_j for real points, the
-    measure also carries a factor 2^M relative to plain Lebesgue dx dy
-    per pair (from |dz wedge d conj(z)| = 2 dx dy); integration code
-    must account for that separately, this function returns only the
-    combinatorial part.
-    """
-    if m_pairs < 0 or l_real < 0:
-        raise ValueError("pair and real counts must be nonnegative")
-    if count is not None and l_real + 2 * m_pairs != count:
-        raise ValueError(f"L + 2M = {l_real + 2 * m_pairs} does not match count {count}")
-    return 1.0 / (math.factorial(m_pairs) * math.factorial(l_real))
-
-
 def _log_abs2(z: np.ndarray) -> np.ndarray:
     """log |z|^2 of complex entries."""
     return np.log(z.real * z.real + z.imag * z.imag)
 
 
-def log_density_batch(reals: np.ndarray, pairs: np.ndarray, params: DensityParams) -> np.ndarray:
+def log_density_batch(reals: np.ndarray, pairs: np.ndarray, params: EnsembleParams) -> np.ndarray:
     """Log density of stacked configurations: real points (T, L), pair members (T, M).
 
     Row i is the configuration of the real points reals[i] and the
@@ -165,27 +132,37 @@ def log_density_batch(reals: np.ndarray, pairs: np.ndarray, params: DensityParam
     points are the kappa = 1 law.  Rows are evaluated column by column in
     the row blocks of the root solver, so each value depends on its own
     row only.  Membership, the singular set z^2 = 1 and the unit circle
-    are left to the callers (see :func:`log_density_random_kappa`).
+    are left to the callers (see :func:`log_density`).
     """
     reals = np.asarray(reals, dtype=float)
     pairs = np.asarray(pairs, dtype=complex)
     count = reals.shape[1] + 2 * pairs.shape[1]
+    random_kappa = _random_kappa(count, params)
     consts = normalization_constants(params)
-    if count == 2 * params.n:
-        if params.kappa_dist is None:
-            raise ValueError("random-kappa density needs a kappa distribution")
-        log_d = consts.log_d_even
-    elif count == 2 * params.n - 1:
-        log_d = consts.log_d_odd
-    else:
-        raise ValueError(f"expected {2 * params.n} or {2 * params.n - 1} points, got {count}")
+    log_d = consts.log_d_even if random_kappa else consts.log_d_odd
     out = np.empty(len(reals))
     for block in _row_blocks(len(reals), count):
-        out[block] = _log_density_rows(reals[block], pairs[block], params, count % 2 == 0) - log_d
+        out[block] = _log_density_rows(reals[block], pairs[block], params, random_kappa) - log_d
     return out
 
 
-def _log_density_rows(r: np.ndarray, w: np.ndarray, params: DensityParams, random_kappa: bool):
+def _random_kappa(count: int, params: EnsembleParams) -> bool:
+    """Whether count points carry the random-kappa law (2n) rather than kappa = 1 (2n - 1).
+
+    Raises on any other count, and on 2n points when the kappa law has
+    no density.
+    """
+    n = params.n
+    if count == 2 * n:
+        if not params.kappa.has_density:
+            raise ValueError("random-kappa density needs a kappa distribution with a density")
+        return True
+    if count != 2 * n - 1:
+        raise ValueError(f"expected {2 * n} or {2 * n - 1} points, got {count}")
+    return False
+
+
+def _log_density_rows(r: np.ndarray, w: np.ndarray, params: EnsembleParams, random_kappa: bool):
     """Unnormalized log density of one row block, in real and pair-member columns.
 
     In these coordinates each conjugate pair's own Vandermonde factor is
@@ -230,7 +207,7 @@ def _log_density_rows(r: np.ndarray, w: np.ndarray, params: DensityParams, rando
             return log_sum
         ksq = 1.0 - prod
         kappa = np.sqrt(ksq)
-        log_sum += ksq * (0.5 * beta * n / (gamma * gamma)) + params.kappa_dist.log_pdf(kappa)
+        log_sum += ksq * (0.5 * beta * n / (gamma * gamma)) + params.kappa.log_pdf(kappa)
         if beta * n != 1.0:
             log_sum -= (beta * n - 1.0) * np.log(kappa)
     return np.where(ksq > 0, log_sum, -np.inf)
@@ -253,64 +230,31 @@ def _real_products(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_product(config: SpectrumConfiguration) -> float:
-    """prod_j z_j computed pairwise so the result is exactly real."""
-    return float(_real_products(np.array(config.points, dtype=complex).reshape(1, -1))[0])
+def log_density(config: SpectrumConfiguration, params: EnsembleParams) -> LogDensityValue:
+    """Log density of one configuration, its point count picking the law as in :func:`log_density_batch`.
 
-
-def _one_row(config: SpectrumConfiguration, params: DensityParams) -> tuple[float, bool]:
-    """(log density, boundary) of one configuration by :func:`log_density_batch`.
-
-    Raises on the singular set z^2 = 1; boundary marks a pair on the unit
-    circle.
+    At 2n points kappa is pinned by kappa^2 = 1 - prod z_j, and the value
+    is -inf (out of support) when that square is nonpositive or F
+    vanishes at the implied kappa.  At 2n - 1 points kappa = 1 and the
+    origin zero it forces is assumed dropped already (the canonicalizer
+    does this).  Either law is -inf off S.  Raises on the singular set
+    z^2 = 1; boundary marks a pair on the unit circle.
     """
+    random_kappa = _random_kappa(config.count, params)
     z = np.array(config.points, dtype=complex)
+    kappa = None
+    if random_kappa:
+        prod_z = float(_real_products(z.reshape(1, -1))[0])
+        if prod_z >= 1.0:
+            return LogDensityValue(-math.inf, None, False)
+        kappa = math.sqrt(1.0 - prod_z)
+        if params.kappa.log_pdf(kappa) == -math.inf:
+            return LogDensityValue(-math.inf, kappa, False)
+    if not is_in_S(config.count, config):
+        return LogDensityValue(-math.inf, kappa, False)
     if np.any(np.abs(1.0 - z * z) < SINGULAR_TOL):
         raise SingularConfigurationError("some z_j^2 = 1 within tolerance")
     reals, pairs = z[z.imag == 0].real, z[z.imag > 0]
     value = log_density_batch(reals[None], pairs[None], params)[0]
-    return float(value), bool(np.any(pairs.real * pairs.real + pairs.imag * pairs.imag == 1.0))
-
-
-def log_density_random_kappa(
-    config: SpectrumConfiguration, params: DensityParams
-) -> LogDensityValue:
-    """Log density of a 2n-point configuration with kappa drawn from F.
-
-    kappa is pinned by the points through kappa^2 = 1 - prod z_j; the
-    value is -inf (out of support) when that square is nonpositive, when
-    F vanishes at the implied kappa, or when the configuration is not
-    admissible.
-    """
-    n = params.n
-    if config.count != 2 * n:
-        raise ValueError(f"expected {2 * n} points, got {config.count}")
-    if params.kappa_dist is None or not params.kappa_dist.has_density:
-        raise ValueError("random-kappa density needs a kappa distribution with a density")
-
-    prod_z = _real_product(config)
-    if prod_z >= 1.0:
-        return LogDensityValue(-math.inf, None, False)
-    kappa = math.sqrt(1.0 - prod_z)
-    if params.kappa_dist.log_pdf(kappa) == -math.inf or not is_in_S(2 * n, config):
-        return LogDensityValue(-math.inf, kappa, False)
-    value, boundary = _one_row(config, params)
-    return LogDensityValue(value, kappa, True, boundary)
-
-
-def log_density_kappa1(
-    config: SpectrumConfiguration, params: DensityParams
-) -> LogDensityValue:
-    """Log density of the 2n-1 nonzero points when kappa = 1.
-
-    The origin zero forced by kappa = 1 is assumed dropped already (the
-    canonicalizer does this); the remaining points carry the same factors
-    without any kappa block.
-    """
-    n = params.n
-    if config.count != 2 * n - 1:
-        raise ValueError(f"expected {2 * n - 1} points, got {config.count}")
-    if not is_in_S(2 * n - 1, config):
-        return LogDensityValue(-math.inf, None, False)
-    value, boundary = _one_row(config, params)
-    return LogDensityValue(value, None, True, boundary)
+    boundary = np.any(pairs.real * pairs.real + pairs.imag * pairs.imag == 1.0)
+    return LogDensityValue(float(value), kappa, True, bool(boundary))

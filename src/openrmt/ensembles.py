@@ -241,19 +241,9 @@ class KappaDistribution:
             return np.where(y > 0, (dof - 1.0) * np.log(y) - 0.5 * y * y - log_norm, -np.inf)
 
 
-def check_model_params(beta: float, n: int, gamma: float) -> None:
-    """The checks every model parameter set shares: beta > 0, n >= 1, gamma != 0, all finite."""
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be positive and finite, got {beta}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not (math.isfinite(gamma) and gamma != 0):
-        raise ValueError(f"gamma must be nonzero and finite, got {gamma}")
-
-
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Parameters of the coupled random operator."""
+    """Parameters of the coupled random operator, for its sampler and its zero density alike."""
 
     beta: float
     n: int
@@ -261,7 +251,12 @@ class EnsembleParams:
     kappa: KappaDistribution = KappaDistribution("point", (1.0,))
 
     def __post_init__(self) -> None:
-        check_model_params(self.beta, self.n, self.gamma)
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        if not (math.isfinite(self.gamma) and self.gamma != 0):
+            raise ValueError(f"gamma must be nonzero and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)

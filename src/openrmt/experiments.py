@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import DensityParams, _real_products, log_density_batch
+from .density import _real_products, log_density_batch
 from .ensembles import (
     EnsembleParams,
     KappaDistribution,
@@ -773,7 +773,7 @@ def _region_inverse(name: str, first, second) -> np.ndarray:
     return np.column_stack([u, (other - lo) / (hi - lo)])
 
 
-def _region_log_density(name: str, u, v, params: DensityParams):
+def _region_log_density(name: str, u, v, params: EnsembleParams):
     """Density times the area Jacobian at the region's rectangle coordinates (u, v)."""
     p, q, jac = _region_forward(name, u, v)
     if name == "conj_pair":
@@ -791,7 +791,7 @@ def _region_log_density(name: str, u, v, params: DensityParams):
     return np.nan_to_num(vals, nan=0.0, posinf=0.0)
 
 
-def _quadrature_masses(pieces, params: DensityParams) -> list[float]:
+def _quadrature_masses(pieces, params: EnsembleParams) -> list[float]:
     """Mass of each (region, rectangle) piece under one QUAD_NODES-point Gauss-Legendre rule."""
     xg, wg = np.polynomial.legendre.leggauss(QUAD_NODES)
     masses = []
@@ -848,7 +848,7 @@ def density_normalization_n1(
     """
     _check_radius(radius)
     dist = kappa_dist or KappaDistribution("chi", (3.0, 0.5))
-    params = DensityParams(beta, 1, gamma, dist)
+    params = EnsembleParams(beta, 1, gamma, dist)
     pieces = _quadrature_masses(_rects(radius) + _tail_pieces(radius), params)
     masses = dict(zip(REGIONS, pieces))
     total = sum(masses.values())
@@ -986,7 +986,7 @@ def density_mc_compare_n1(
     _check_radius(radius)
     if not kappa_dist.has_density:
         raise ValueError("kappa must have a density for the comparison")
-    params = DensityParams(beta, 1, gamma, kappa_dist)
+    params = EnsembleParams(beta, 1, gamma, kappa_dist)
 
     sizes = [MC_CHUNK] * (trials // MC_CHUNK)
     if trials % MC_CHUNK:

@@ -39,8 +39,8 @@ row's result never depends on the rest of the batch.  The inverse
 checks every row with masks and reports failures per row: a failed row
 is flagged with its InversionError and then carried along with harmless
 values, so no decimal signal fires for the other rows.  lstar_rows and
-gc_inverse_rows are the one-block calls, gc_inverse and k_from_lstar the
-one-row calls of the same code.
+gc_inverse_rows are the one-block calls, and gc_inverse the one-row call,
+of the same code; k_from_lstar_rows recovers K from L* the same way.
 
 The relative checks |x| > rtol max|L| of the inverse are screened: only
 rows with |x| > rtol * 1, rounded in the working context, take the row
@@ -123,25 +123,12 @@ class RealPolynomial:
         return RealPolynomial([float(c) for c in self.coeffs], trim=False)
 
 
-def reversal(poly: RealPolynomial, m: int) -> RealPolynomial:
-    """Coefficient reversal within degree m: z^m * p(1/z)."""
-    if poly.degree > m:
-        raise ValueError(f"cannot reverse degree {poly.degree} within degree {m}")
-    zero = type(poly.coeffs[-1])() if poly.coeffs else 0.0
-    padded = list(poly.coeffs) + [zero] * (m + 1 - len(poly.coeffs))
-    return RealPolynomial(reversed(padded))
-
-
 @dataclass(frozen=True)
 class GCSequence:
     """Full recursion ladder: lstar[j] and k[j] for j = 0..2n."""
 
     lstar: tuple[RealPolynomial, ...]
     k: tuple[RealPolynomial, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.lstar) - 1
 
     @property
     def final(self) -> RealPolynomial:
@@ -235,13 +222,6 @@ def k_from_lstar_rows(lstar: np.ndarray) -> np.ndarray:
     if failures:
         raise failures[min(failures)]
     return q[:, : L.shape[1] // 2 * 2 + 1]
-
-
-def k_from_lstar(lstar: RealPolynomial) -> RealPolynomial:
-    """Companion polynomial K_m recovered from L*_m alone, at either parity, in floats."""
-    if not lstar.is_monic:
-        raise ValueError("k_from_lstar needs a monic polynomial")
-    return RealPolynomial(k_from_lstar_rows([lstar.coeffs])[0].tolist())
 
 
 def _forward_steps(a: np.ndarray, b: np.ndarray, one, active: Sequence[int] | None = None):

@@ -54,7 +54,7 @@ class JacobiCoefficients:
         return len(self.a)
 
 
-def perturbation_order(coeffs: JacobiCoefficients, tol: float = 0.0) -> int:
+def perturbation_order(coeffs: JacobiCoefficients) -> int:
     """Smallest k such that a_j = 1 for j > k/2 and b_j = 0 for j > (k+1)/2.
 
     Equals 2j when the deepest nontrivial entry is a_j, and 2j - 1 when it
@@ -62,14 +62,14 @@ def perturbation_order(coeffs: JacobiCoefficients, tol: float = 0.0) -> int:
     operator.  This also equals the number of nonzero roots of the final
     recursion polynomial.
     """
-    return int(perturbation_orders(np.array([coeffs.a]), np.array([coeffs.b]), tol)[0])
+    return int(perturbation_orders(np.array([coeffs.a]), np.array([coeffs.b]))[0])
 
 
-def perturbation_orders(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> np.ndarray:
+def perturbation_orders(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`perturbation_order` of each row of stacked coefficients (T, n)."""
     j = np.arange(1, a.shape[1] + 1)
-    deepest_a = np.where(np.abs(a - 1.0) > tol, 2 * j, 0).max(axis=1)
-    deepest_b = np.where(np.abs(b) > tol, 2 * j - 1, 0).max(axis=1)
+    deepest_a = np.where(np.abs(a - 1.0) > 0.0, 2 * j, 0).max(axis=1)
+    deepest_b = np.where(np.abs(b) > 0.0, 2 * j - 1, 0).max(axis=1)
     return np.maximum(deepest_a, deepest_b)
 
 

@@ -34,7 +34,6 @@ once, with NaN marking the unused slots of each row.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 from dataclasses import dataclass
 
@@ -287,16 +286,6 @@ def joukowsky(z: complex) -> complex:
     if z == 0:
         raise ValueError("the map z + 1/z is undefined at 0")
     return z + 1.0 / z
-
-
-def inverse_joukowsky(e: complex, branch: str = "outside") -> complex:
-    """Preimage of e under z + 1/z on the requested side of the unit circle."""
-    if branch not in ("outside", "inside"):
-        raise ValueError(f"branch must be outside or inside, got {branch!r}")
-    e = complex(e)
-    w = cmath.sqrt(e * e - 4.0)
-    big = 0.5 * (e + w) if abs(e + w) >= abs(e - w) else 0.5 * (e - w)
-    return big if branch == "outside" else 1.0 / big
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from openrmt import DensityParams, KappaDistribution, cli, experiments, log_density_random_kappa
+from openrmt import EnsembleParams, KappaDistribution, cli, experiments, log_density
 from openrmt.spectra import canonicalize_conjugates, classify
 
 SEED = "4242"
@@ -164,8 +164,8 @@ def test_density_eval_matches_library():
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     config = classify(canonicalize_conjugates(np.array([4.0 + 0j, -2.0 + 0j])))
-    params = DensityParams(2.0, 1, 1.0, KappaDistribution("uniform", (0.5, 5.0)))
-    expected = log_density_random_kappa(config, params)
+    params = EnsembleParams(2.0, 1, 1.0, KappaDistribution("uniform", (0.5, 5.0)))
+    expected = log_density(config, params)
     assert abs(out["log_density"] - expected.log_value) < 1e-12
     assert out["kappa_implied"] == 3.0
     assert out["in_support"] is True
@@ -179,8 +179,8 @@ def test_density_eval_pairs_inexact_conjugates():
     assert out["count"] == 4 and out["n"] == 2
     exact = [0.5 + 0.3j, 0.5 - 0.3j, 0.5 + 0.6j, 0.5 - 0.6j]
     config = classify(canonicalize_conjugates(np.array(exact)))
-    params = DensityParams(2.0, 2, 1.0, KappaDistribution("chi", (3.0, 0.5)))
-    assert out["log_density"] == pytest.approx(log_density_random_kappa(config, params).log_value)
+    params = EnsembleParams(2.0, 2, 1.0, KappaDistribution("chi", (3.0, 0.5)))
+    assert out["log_density"] == pytest.approx(log_density(config, params).log_value)
 
 
 def test_density_eval_out_of_support_still_exits_zero():

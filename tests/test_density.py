@@ -5,7 +5,6 @@ import pytest
 from scipy import stats as spstats
 
 from openrmt import (
-    DensityParams,
     EnsembleParams,
     KappaDistribution,
     LogDensityValue,
@@ -14,11 +13,9 @@ from openrmt import (
     canonicalize_conjugates,
     classify,
     RandomStream,
+    log_density,
     log_density_batch,
-    log_density_kappa1,
-    log_density_random_kappa,
     normalization_constants,
-    wedge_factor,
 )
 from openrmt import spectra
 from openrmt.experiments import _trial_batch
@@ -34,12 +31,12 @@ def _config(*points):
 
 def test_normalization_constant_small_cases():
     # d(1, beta=2, gamma=1) = sqrt(pi) * 2^(3/2) * e, frozen from quadrature
-    d = normalization_constants(DensityParams(2.0, 1)).d_even
+    d = normalization_constants(EnsembleParams(2.0, 1)).d_even
     assert abs(d - math.sqrt(math.pi) * 2.0**1.5 * math.e) < 1e-12
     assert abs(d - 13.627444) < 1e-5
 
     # c(1, beta=2, gamma=1) = sqrt(2 pi)
-    c = normalization_constants(DensityParams(2.0, 1)).c
+    c = normalization_constants(EnsembleParams(2.0, 1)).c
     assert abs(c - math.sqrt(2.0 * math.pi)) < 1e-12
 
 
@@ -48,7 +45,7 @@ def test_normalization_constant_ratio():
     for beta in (1.0, 2.0, 4.0):
         for n in (1, 2, 5):
             for gamma in (0.7, 1.0, 2.0):
-                consts = normalization_constants(DensityParams(beta, n, gamma))
+                consts = normalization_constants(EnsembleParams(beta, n, gamma))
                 ratio = math.exp(consts.log_d_odd - consts.log_d_even)
                 expected = math.exp(-beta * n / (2.0 * gamma * gamma)) / 2.0
                 assert abs(ratio - expected) < 1e-12 * expected
@@ -61,8 +58,8 @@ def test_density_worked_value_beta_two():
     Gaussian, and coupling terms only.
     """
     config = _config(4.0, -2.0)
-    params = DensityParams(2.0, 1, 1.0, UNIFORM)
-    value = log_density_random_kappa(config, params)
+    params = EnsembleParams(2.0, 1, 1.0, UNIFORM)
+    value = log_density(config, params)
     assert value.in_support
     assert abs(value.kappa_implied - 3.0) < 1e-12
 
@@ -82,8 +79,8 @@ def test_density_worked_value_beta_one_pair():
     """Conjugate pair at beta = 1 exercises every modulus factor."""
     x, y = 0.3, 0.4
     config = _config(complex(x, y), complex(x, -y))
-    params = DensityParams(1.0, 1, 1.0, CHI)
-    value = log_density_random_kappa(config, params)
+    params = EnsembleParams(1.0, 1, 1.0, CHI)
+    value = log_density(config, params)
     assert value.in_support
 
     modsq = x * x + y * y
@@ -105,15 +102,15 @@ def test_density_worked_value_beta_one_pair():
 
 
 def test_density_input_order_does_not_matter():
-    params = DensityParams(2.0, 1, 1.0, CHI)
-    a = log_density_random_kappa(_config(4.0, -2.0), params)
-    b = log_density_random_kappa(_config(-2.0, 4.0), params)
+    params = EnsembleParams(2.0, 1, 1.0, CHI)
+    a = log_density(_config(4.0, -2.0), params)
+    b = log_density(_config(-2.0, 4.0), params)
     assert a.log_value == b.log_value
 
 
 def test_density_out_of_support_by_coupling():
     # product of zeros above 1 leaves no real kappa
-    value = log_density_random_kappa(_config(0.5, 2.5), DensityParams(2.0, 1, 1.0, CHI))
+    value = log_density(_config(0.5, 2.5), EnsembleParams(2.0, 1, 1.0, CHI))
     assert not value.in_support
     assert value.log_value == -math.inf
 
@@ -121,7 +118,7 @@ def test_density_out_of_support_by_coupling():
 def test_density_out_of_support_by_membership():
     # kappa is fine but two points sit between the outside pair inverses
     config = _config(-0.5, 0.5, 2.0, 3.0)
-    value = log_density_random_kappa(config, DensityParams(2.0, 2, 1.0, CHI))
+    value = log_density(config, EnsembleParams(2.0, 2, 1.0, CHI))
     assert not value.in_support
     assert value.kappa_implied is not None
     assert abs(value.kappa_implied - math.sqrt(2.5)) < 1e-12
@@ -130,7 +127,7 @@ def test_density_out_of_support_by_membership():
 def test_density_out_of_support_by_kappa_law():
     # implied kappa 3 falls outside a narrow uniform law
     narrow = KappaDistribution("uniform", (0.5, 1.0))
-    value = log_density_random_kappa(_config(4.0, -2.0), DensityParams(2.0, 1, 1.0, narrow))
+    value = log_density(_config(4.0, -2.0), EnsembleParams(2.0, 1, 1.0, narrow))
     assert not value.in_support
     assert abs(value.kappa_implied - 3.0) < 1e-12
 
@@ -138,21 +135,21 @@ def test_density_out_of_support_by_kappa_law():
 def test_density_rejects_point_kappa_and_bad_count():
     config = _config(4.0, -2.0)
     with pytest.raises(ValueError):
-        log_density_random_kappa(config, DensityParams(2.0, 1, 1.0, KappaDistribution("point", (1.0,))))
+        log_density(config, EnsembleParams(2.0, 1, 1.0, KappaDistribution("point", (1.0,))))
     with pytest.raises(ValueError):
-        log_density_random_kappa(config, DensityParams(2.0, 2, 1.0, CHI))
+        log_density(config, EnsembleParams(2.0, 2, 1.0, CHI))
 
 
 def test_density_singular_at_unit_real_point():
     with pytest.raises(SingularConfigurationError):
-        log_density_random_kappa(_config(1.0, 0.5), DensityParams(2.0, 1, 1.0, CHI))
+        log_density(_config(1.0, 0.5), EnsembleParams(2.0, 1, 1.0, CHI))
 
 
 def test_fixed_coupling_density_odd_count():
     """kappa = 1 variant: odd point count, no coupling density factor."""
     config = _config(0.3, 0.6 + 0.8j, 0.6 - 0.8j)
-    params = DensityParams(2.0, 2, 1.0)
-    value = log_density_kappa1(config, params)
+    params = EnsembleParams(2.0, 2, 1.0)
+    value = log_density(config, params)
     assert value.kappa_implied is None
     # |0.6 + 0.8i| = 1: the pair sits exactly on the circle
     assert value.boundary
@@ -162,37 +159,32 @@ def test_fixed_coupling_density_odd_count():
 
 def test_fixed_coupling_density_off_boundary():
     config = _config(0.3, 0.5 + 0.5j, 0.5 - 0.5j)
-    params = DensityParams(1.0, 2, 1.0)
-    value = log_density_kappa1(config, params)
+    params = EnsembleParams(1.0, 2, 1.0)
+    value = log_density(config, params)
     assert value.in_support
     assert not value.boundary
     assert math.isfinite(value.log_value)
 
 
+def test_kappa_law_does_not_enter_the_odd_count_density():
+    config = _config(0.3, 0.5 + 0.5j, 0.5 - 0.5j)
+    for beta in (1.0, 2.0, 4.0):
+        plain = log_density(config, EnsembleParams(beta, 2, 0.7))
+        assert log_density(config, EnsembleParams(beta, 2, 0.7, CHI)) == plain
+        assert plain.in_support and math.isfinite(plain.log_value)
+
+
+def test_even_count_with_point_kappa_raises_in_both_calls():
+    params = EnsembleParams(2.0, 1)
+    with pytest.raises(ValueError, match="kappa distribution with a density"):
+        log_density(_config(4.0, -2.0), params)
+    with pytest.raises(ValueError, match="kappa distribution with a density"):
+        log_density_batch(np.array([[-2.0, 4.0]]), np.empty((1, 0), dtype=complex), params)
+
+
 def test_log_density_value_invariant():
     with pytest.raises(ValueError):
         LogDensityValue(log_value=0.5, kappa_implied=None, in_support=False)
-
-
-def test_wedge_factor_counts():
-    assert wedge_factor(0, 2) == 0.5
-    assert wedge_factor(1, 0) == 1.0
-    assert wedge_factor(2, 1) == 0.5
-    assert wedge_factor(2, 3) == 1.0 / (2 * 6)
-    assert wedge_factor(1, 1, count=3) == 1.0
-    with pytest.raises(ValueError):
-        wedge_factor(1, 1, count=4)
-    with pytest.raises(ValueError):
-        wedge_factor(-1, 0)
-
-
-def test_density_params_validation():
-    with pytest.raises(ValueError):
-        DensityParams(0.0, 1)
-    with pytest.raises(ValueError):
-        DensityParams(2.0, 0)
-    with pytest.raises(ValueError):
-        DensityParams(2.0, 1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +194,7 @@ ORACLE_RTOL = 1e-12
 STRATUM_GAP = 1e-3
 
 
-def _oracle_log_density(z: np.ndarray, params: DensityParams) -> float:
+def _oracle_log_density(z: np.ndarray, params: EnsembleParams) -> float:
     """The paper's formula over all points at once, with every pair j < k as a complex product.
 
     The kappa law enters through scipy's chi log-pdf, not KappaDistribution.
@@ -216,7 +208,7 @@ def _oracle_log_density(z: np.ndarray, params: DensityParams) -> float:
     consts = normalization_constants(params)
     if len(z) == 2 * n - 1:
         return float(log_sum - consts.log_d_odd)
-    dof, scale = params.kappa_dist.params
+    dof, scale = params.kappa.params
     kappa = math.sqrt(1.0 - np.prod(z).real)
     log_f = spstats.chi(dof, scale=scale).logpdf(kappa)
     return float(
@@ -255,7 +247,7 @@ def test_batch_density_matches_all_pairs_oracle(beta, spec):
     dist = KappaDistribution.from_spec(spec)
     worst = 0.0
     for n in (1, 2, 3, 5, 8):
-        params = DensityParams(beta, n, 1.0, dist)
+        params = EnsembleParams(beta, n, 1.0, dist)
         scored = 0
         for (l_real, m_pairs), (reals, pairs, configs) in _sampled_groups(beta, n, dist).items():
             assert l_real + 2 * m_pairs == (2 * n if dist.has_density else 2 * n - 1)
@@ -276,8 +268,7 @@ def test_batch_density_matches_all_pairs_oracle(beta, spec):
 def test_batch_rows_equal_one_row_calls_and_split_blocks(monkeypatch, spec):
     """A row's value depends on that row only: not on the stack, not on the row blocks."""
     dist = KappaDistribution.from_spec(spec)
-    params = DensityParams(1.0, 3, 1.0, dist)
-    scalar = log_density_random_kappa if dist.has_density else log_density_kappa1
+    params = EnsembleParams(1.0, 3, 1.0, dist)
     groups = _sampled_groups(1.0, 3, dist, trials=200)
     whole = {key: log_density_batch(reals, pairs, params) for key, (reals, pairs, _) in groups.items()}
     count = 6 if dist.has_density else 5
@@ -288,6 +279,6 @@ def test_batch_rows_equal_one_row_calls_and_split_blocks(monkeypatch, spec):
         for i, config in enumerate(configs):
             one = log_density_batch(reals[i : i + 1], pairs[i : i + 1], params)
             assert one[0] == whole[key][i]
-            assert scalar(config, params).log_value == whole[key][i]
+            assert log_density(config, params).log_value == whole[key][i]
     assert sum(len(r) for r, _, _ in groups.values()) > 150
     assert max(len(r) for r, _, _ in groups.values()) > 14

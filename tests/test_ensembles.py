@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from openrmt import (
-    DensityParams,
     EnsembleParams,
     KappaDistribution,
     RandomStream,
@@ -190,8 +189,6 @@ def test_kappa_spec_rejects_non_finite_parameters(spec):
 def test_model_parameters_must_be_finite(beta, gamma):
     with pytest.raises(ValueError, match="finite"):
         EnsembleParams(beta, 3, gamma)
-    with pytest.raises(ValueError, match="finite"):
-        DensityParams(beta, 3, gamma)
 
 
 def test_kappa_log_pdf_is_minus_inf_off_the_support():

@@ -7,7 +7,6 @@ import pytest
 from scipy import stats as spstats
 
 from openrmt import (
-    DensityParams,
     EnsembleParams,
     InversionError,
     KappaDistribution,
@@ -23,8 +22,8 @@ from openrmt import (
     identity_suite,
     jacobian_suite,
     ks_test,
+    log_density,
     log_density_batch,
-    log_density_random_kappa,
     membership_suite,
     polynomial_roots,
     random_coefficients,
@@ -224,7 +223,7 @@ def test_vectorized_density_matches_scalar_real_pairs():
     """The binned-comparison evaluator must agree with the general one."""
     gen = np.random.default_rng(SEED)
     for beta in (1.0, 2.0):
-        params = DensityParams(beta, 1, 1.0, CHI)
+        params = EnsembleParams(beta, 1, 1.0, CHI)
         worst = 0.0
         checked = 0
         for _ in range(300):
@@ -234,7 +233,7 @@ def test_vectorized_density_matches_scalar_real_pairs():
                 continue
             vec = log_density_batch(np.array([[r1, r2]]), np.empty((1, 0)), params)[0]
             config = SpectrumConfiguration((complex(r1), complex(r2)))
-            ref = log_density_random_kappa(config, params)
+            ref = log_density(config, params)
             if ref.in_support:
                 checked += 1
                 worst = max(worst, abs(vec - ref.log_value))
@@ -245,14 +244,14 @@ def test_vectorized_density_matches_scalar_real_pairs():
 def test_vectorized_density_matches_scalar_pairs():
     gen = np.random.default_rng(SEED + 1)
     for beta in (1.0, 2.0):
-        params = DensityParams(beta, 1, 1.0, CHI)
+        params = EnsembleParams(beta, 1, 1.0, CHI)
         worst = 0.0
         for _ in range(300):
             x = float(gen.uniform(-0.95, 0.95))
             y = float(gen.uniform(0.05, math.sqrt(1.0 - x * x) - 1e-9))
             vec = log_density_batch(np.empty((1, 0)), np.array([[complex(x, y)]]), params)[0]
             config = SpectrumConfiguration((complex(x, -y), complex(x, y)))
-            ref = log_density_random_kappa(config, params)
+            ref = log_density(config, params)
             assert ref.in_support
             worst = max(worst, abs(vec - ref.log_value))
         assert worst < 1e-12
@@ -331,7 +330,7 @@ def test_every_sample_is_binned_or_unbinned():
     real_pairs, conj_pairs = _mc_chunk_n1((2.0, 1.0, CHI, SEED, 0, 1 << 15))
     region_uv = _samples_to_region_uv(real_pairs, conj_pairs)
     assert sum(len(uv) for uv in region_uv.values()) == 1 << 15
-    params = DensityParams(2.0, 1, 1.0, CHI)
+    params = EnsembleParams(2.0, 1, 1.0, CHI)
     covered = 0.0
     for name, rect in _rects(DEFAULT_RADIUS):
         expected, counts, unbinned = _bin_region(name, rect, params, 10**6, 15, region_uv[name])

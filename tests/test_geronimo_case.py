@@ -14,9 +14,7 @@ from openrmt import (
     RealPolynomial,
     gc_forward,
     gc_inverse,
-    k_from_lstar,
     random_coefficients,
-    reversal,
     roundtrip_suite,
 )
 from openrmt.geronimo_case import (
@@ -50,16 +48,10 @@ def test_polynomial_basics():
     assert RealPolynomial(()).degree == -1
 
 
-def test_reversal_fixture():
-    p = RealPolynomial((-8.0, -2.0, 1.0))
-    assert reversal(p, 2).coeffs == (1.0, -2.0, -8.0)
-    assert reversal(reversal(p, 2), 2) == p
-
-
 def test_forward_single_bump():
     """a=3, b=2: the ladder gives z-2, then z^2-2z-8 with companion z^2-2z+1."""
     seq = gc_forward(JacobiCoefficients((3.0,), (2.0,)))
-    assert seq.order == 2
+    assert len(seq.lstar) == 3
     assert seq.lstar[0].coeffs == (1.0,)
     assert seq.lstar[1].coeffs == (-2.0, 1.0)
     assert seq.final.coeffs == (-8.0, -2.0, 1.0)
@@ -81,7 +73,7 @@ def test_ladder_structure_random():
     for n in (1, 2, 4, 7):
         coeffs = _random_coeffs(gen, n)
         seq = gc_forward(coeffs)
-        assert seq.order == 2 * n
+        assert len(seq.lstar) == len(seq.k) == 2 * n + 1
         for j, p in enumerate(seq.lstar):
             assert p.degree == j
             assert p.is_monic
@@ -100,11 +92,13 @@ def test_companion_recovery_from_main_sequence():
         coeffs = _random_coeffs(gen, n)
         seq = gc_forward(coeffs)
         for k in range(1, n + 1):
-            even = k_from_lstar(seq.lstar[2 * k])
-            assert np.allclose(even.coeffs, seq.k[2 * k].coeffs, rtol=1e-9, atol=1e-9)
+            even = k_from_lstar_rows([seq.lstar[2 * k].coeffs])[0]
+            assert np.allclose(even, seq.k[2 * k].coeffs, rtol=1e-9, atol=1e-9)
         for k in range(n):
-            odd = k_from_lstar(seq.lstar[2 * k + 1])
-            assert np.allclose(odd.coeffs, seq.k[2 * k + 1].coeffs, rtol=1e-9, atol=1e-9)
+            # degree 2k in a row as wide as L*_{2k+1}: the top entry is zero
+            odd = k_from_lstar_rows([seq.lstar[2 * k + 1].coeffs])[0]
+            assert np.allclose(odd[:-1], seq.k[2 * k + 1].coeffs, rtol=1e-9, atol=1e-9)
+            assert odd[-1] == 0
 
 
 def test_inverse_fixtures():
@@ -188,9 +182,6 @@ def test_extended_ladder_polynomials_evaluate_and_reverse():
     assert final(1.5) == -8.75
     assert final(1j) == complex(-9.0, -2.0)
     assert final(Decimal("1.5")) == Decimal("-8.75")
-    rev = reversal(seq.lstar[1], 3)
-    assert rev.coeffs == (0, 0, 1, -2)
-    assert all(isinstance(c, Decimal) for c in rev.coeffs)
 
 
 def test_float_and_int_polynomials_invert_at_extended_precision():

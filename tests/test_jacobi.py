@@ -35,9 +35,6 @@ def test_perturbation_order_scans_from_the_top():
     assert perturbation_order(JacobiCoefficients((1.0, 1.0), (0.0, 1.0))) == 3
     assert perturbation_order(JacobiCoefficients((2.0, 1.0), (0.5, 0.0))) == 2
     assert perturbation_order(JacobiCoefficients((1.0, 1.0), (0.5, 0.0))) == 1
-    # tolerance treats near-free entries as free
-    near = JacobiCoefficients((1.0 + 1e-12, 1.0), (0.0, 0.0))
-    assert perturbation_order(near, tol=1e-9) == 0
 
 
 def test_assemble_coupled_reverses_and_scales():

@@ -12,7 +12,6 @@ from openrmt import (
     SpectrumConfiguration,
     canonicalize_conjugates,
     classify,
-    inverse_joukowsky,
     is_in_S,
     joukowsky,
     polynomial_roots,
@@ -121,19 +120,6 @@ def test_joukowsky_fixture_values():
     assert abs(joukowsky(0.4) - 2.9) < 1e-15
     with pytest.raises(ValueError):
         joukowsky(0.0)
-
-
-def test_inverse_joukowsky_branches():
-    assert abs(inverse_joukowsky(2.9, "outside") - 2.5) < 1e-12
-    assert abs(inverse_joukowsky(2.9, "inside") - 0.4) < 1e-12
-    gen = np.random.default_rng(SEED + 2)
-    for _ in range(50):
-        w = complex(gen.uniform(-3, 3), gen.uniform(-3, 3))
-        zo = inverse_joukowsky(w, "outside")
-        zi = inverse_joukowsky(w, "inside")
-        assert abs(joukowsky(zo) - w) < 1e-9
-        assert abs(joukowsky(zi) - w) < 1e-9
-        assert abs(zo) >= abs(zi) - 1e-12
 
 
 def test_membership_accepts_the_admissible_regions():
