@@ -8,8 +8,9 @@ and a binned comparison against the closed-form n=1 joint density).
 
 All randomness is derived from per-trial substreams of a single seed, so
 every report is a pure function of (seed, parameters) regardless of the
-worker count used to produce it.  Statistical verdicts use alpha = 0.01
-with one retry on a fresh substream; both outcomes are logged.
+worker count used to produce it.  sum_zeros_test and
+dense_vs_tridiagonal_test use alpha = 0.01 with one logged retry on fresh
+substreams; semicircle_moment_test and density_mc_compare_n1 never retry.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -71,6 +72,7 @@ TRIAL_CHUNK = 256
 MC_CHUNK = 1 << 15
 QUAD_NODES = 200
 FINE_GRID = 768
+STRIP_ROWS = 32
 DEFAULT_RADIUS = 6.0
 TAIL_LIMIT = 1e-4
 MIN_EXPECTED_COUNT = 100.0
@@ -107,14 +109,15 @@ class ExperimentReport:
         }
 
 
-def _chunked(fn: Callable, args_list: list, workers: int) -> list:
-    """Run fn over the argument list, in order, optionally in processes."""
+def _chunked(fn: Callable, args_list: list, workers: int) -> Iterator:
+    """Yield fn over the argument list, in order, optionally computed in processes."""
     if workers <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
+        yield from map(fn, args_list)
+        return
     from concurrent.futures import ProcessPoolExecutor  # only here: loads multiprocessing
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
+        yield from pool.map(fn, args_list)
 
 
 def _trial_streams(seed: int, start: int, stop: int):
@@ -371,7 +374,7 @@ def run_resonance_sampling(
         (params, seed, start, min(start + TRIAL_CHUNK, trials))
         for start in range(0, trials, TRIAL_CHUNK)
     ]
-    result = SamplingResult(_chunked(_pipeline_chunk, chunk_args, workers))
+    result = SamplingResult(list(_chunked(_pipeline_chunk, chunk_args, workers)))
     if trials and result.failed > MAX_FAILURE_RATE * trials:
         raise RuntimeError(f"{result.failed} of {trials} sampling trials failed")
     return result
@@ -743,6 +746,8 @@ def dense_vs_tridiagonal_test(
 # area Jacobian hi - lo, for quadrature and binning alike.  The density
 # itself is density.log_density_batch, evaluated on (T, 2) real rows or
 # (T, 1) pair rows, and kappa is drawn by ensembles.sample_kappa.
+# The Monte Carlo comparison first builds every region's bin table from
+# the density alone, then counts each chunk of samples into it as drawn.
 
 
 # name: (rectangle (u0, u1, v0, v1) at radius R, whether u is the first
@@ -902,46 +907,54 @@ def _equal_mass_edges(cum: np.ndarray, pieces: int) -> np.ndarray:
     return np.unique(np.concatenate([[0], np.searchsorted(cum, targets), [len(cum)]]))
 
 
-def _bin_region(name, rect, params, trials, max_pieces, samples_uv):
-    """Equal-mass 2d binning of one region: expected masses, counts, unbinned samples.
+def _region_table(name, rect, params, trials, max_pieces):
+    """Equal-mass 2d bins of one region: expected masses and the fine-cell bin labels.
 
-    A fine midpoint grid over the rectangle supplies the quantile edges
-    (equal-mass strips in u, each cut into equal-mass pieces in v, on
-    grid lines) and labels every fine cell with its bin, so one bincount
-    of the cells gives the expected masses and one of the samples' cells
-    the counts.  The number of bins per axis adapts to the region mass so
-    every bin targets roughly BIN_TARGET_COUNT expected samples; at that
-    count the per-bin Poisson noise sits near 2 percent and a 3.5 sigma
-    outlier still clears a 10 percent tolerance.  samples_uv are the
-    samples already mapped to rectangle coordinates.
+    A fine midpoint grid over the rectangle, evaluated STRIP_ROWS u-rows
+    at a time, supplies the quantile edges (equal-mass strips in u, each
+    cut into equal-mass pieces in v, on grid lines) and labels every
+    fine cell with its bin, so one bincount of the cells gives the
+    expected masses and one of the samples' cells the counts
+    (:func:`_bin_samples`).  The number of bins per axis adapts to the
+    region mass so every bin targets roughly BIN_TARGET_COUNT expected
+    samples; at that count the per-bin Poisson noise sits near 2 percent
+    and a 3.5 sigma outlier still clears a 10 percent tolerance.
     """
     u0, u1, v0, v1 = rect
     du = (u1 - u0) / FINE_GRID
     dv = (v1 - v0) / FINE_GRID
     uc = u0 + (np.arange(FINE_GRID) + 0.5) * du
     vc = v0 + (np.arange(FINE_GRID) + 0.5) * dv
-    uu, vv = np.meshgrid(uc, vc, indexing="ij")
-    cells = _region_log_density(name, uu, vv, params) * (du * dv)
+    cells = np.empty((FINE_GRID, FINE_GRID))
+    for lo in range(0, FINE_GRID, STRIP_ROWS):
+        uu, vv = np.meshgrid(uc[lo : lo + STRIP_ROWS], vc, indexing="ij")
+        cells[lo : lo + STRIP_ROWS] = _region_log_density(name, uu, vv, params) * (du * dv)
 
     region_mass = float(cells.sum())
     pieces = int(math.sqrt(max(region_mass * trials / BIN_TARGET_COUNT, 1.0)))
     pieces = max(1, min(pieces, max_pieces))
     grid = np.arange(FINE_GRID)
-    label = np.empty(cells.shape, dtype=int)
+    label = np.empty(cells.shape, dtype=np.int32)
     bins = 0
     u_edges = _equal_mass_edges(np.cumsum(cells.sum(axis=1)), pieces)
     for lo, hi in zip(u_edges[:-1], u_edges[1:]):
         v_edges = _equal_mass_edges(np.cumsum(cells[lo:hi].sum(axis=0)), pieces)
         label[lo:hi] = bins + np.searchsorted(v_edges, grid, "right") - 1
         bins += len(v_edges) - 1
-    expected = np.bincount(label.ravel(), cells.ravel(), bins)
+    return np.bincount(label.ravel(), cells.ravel(), bins), label
 
+
+def _bin_samples(rect, label, bins, samples_uv):
+    """Counts per bin of samples already mapped to the rectangle, and how many fall outside it."""
+    u0, u1, v0, v1 = rect
+    du = (u1 - u0) / FINE_GRID
+    dv = (v1 - v0) / FINE_GRID
     u, v = samples_uv.T
     in_rect = (u >= u0) & (u < u1) & (v >= v0) & (v < v1)
     su = np.clip(((u[in_rect] - u0) / du).astype(int), 0, FINE_GRID - 1)
     sv = np.clip(((v[in_rect] - v0) / dv).astype(int), 0, FINE_GRID - 1)
     counts = np.bincount(label[su, sv], minlength=bins)
-    return expected, counts, len(u) - int(in_rect.sum())
+    return counts, len(u) - int(in_rect.sum())
 
 
 def _samples_to_region_uv(real_pairs: np.ndarray, conj_pairs: np.ndarray):
@@ -977,7 +990,9 @@ def density_mc_compare_n1(
     and make the per-bin relative tolerance statistically meaningless.
     The per-region bin count adapts to the region mass (bins caps the
     count per axis), and only bins with expected count >= 100 enter the
-    maximum deviation.
+    maximum deviation.  The bin tables are built before any sampling,
+    and each MC_CHUNK of samples is counted into them as it is drawn,
+    so memory does not grow with trials.
     """
     if trials < 1e5:
         raise ValueError("the binned comparison needs at least 1e5 trials")
@@ -987,6 +1002,9 @@ def density_mc_compare_n1(
     if not kappa_dist.has_density:
         raise ValueError("kappa must have a density for the comparison")
     params = EnsembleParams(beta, 1, gamma, kappa_dist)
+    rects = _rects(radius)
+    tables = {name: _region_table(name, rect, params, trials, bins) for name, rect in rects}
+    counts = {name: np.zeros(len(expected), dtype=np.int64) for name, (expected, _) in tables.items()}
 
     sizes = [MC_CHUNK] * (trials // MC_CHUNK)
     if trials % MC_CHUNK:
@@ -994,29 +1012,31 @@ def density_mc_compare_n1(
     chunk_args = [
         (beta, gamma, kappa_dist, seed, i, size) for i, size in enumerate(sizes)
     ]
-    blocks = _chunked(_mc_chunk_n1, chunk_args, workers)
-    real_pairs = np.concatenate([b[0] for b in blocks])
-    conj_pairs = np.concatenate([b[1] for b in blocks])
+    real_count = 0
+    unbinned = 0
+    for real_pairs, conj_pairs in _chunked(_mc_chunk_n1, chunk_args, workers):
+        real_count += len(real_pairs)
+        region_uv = _samples_to_region_uv(real_pairs, conj_pairs)
+        for name, rect in rects:
+            expected, label = tables[name]
+            chunk_counts, extra = _bin_samples(rect, label, len(expected), region_uv[name])
+            counts[name] += chunk_counts
+            unbinned += extra
 
-    region_uv = _samples_to_region_uv(real_pairs, conj_pairs)
     max_rel_dev = 0.0
     bins_scored = 0
     bins_total = 0
-    unbinned = 0
     expected_mass = 0.0
-    rects = _rects(radius)
-    for name, rect in rects:
-        expected, counts, extra = _bin_region(name, rect, params, trials, bins, region_uv[name])
-        unbinned += extra
+    for name, (expected, _) in tables.items():
         bins_total += len(expected)
         expected_mass += float(expected.sum())
         scored = expected * trials >= MIN_EXPECTED_COUNT
         bins_scored += int(np.sum(scored))
         if np.any(scored):
-            dev = np.abs(counts[scored] / trials - expected[scored]) / expected[scored]
+            dev = np.abs(counts[name][scored] / trials - expected[scored]) / expected[scored]
             max_rel_dev = max(max_rel_dev, float(np.max(dev)))
 
-    real_frac = len(real_pairs) / trials
+    real_frac = real_count / trials
     real_mass = sum(_quadrature_masses([p for p in rects if p[0] != "conj_pair"], params))
     sigma = math.sqrt(max(real_mass * (1.0 - real_mass), 1e-12) / trials)
     split_dev = abs(real_frac - real_mass)

@@ -221,7 +221,7 @@ def k_from_lstar_rows(lstar: np.ndarray) -> np.ndarray:
     q = _k_rows(L, 1.0, np.ones(len(L), dtype=bool), failures)
     if failures:
         raise failures[min(failures)]
-    return q[:, : L.shape[1] // 2 * 2 + 1]
+    return q[:, : (L.shape[1] - 1) // 2 * 2 + 1]
 
 
 def _forward_steps(a: np.ndarray, b: np.ndarray, one, active: Sequence[int] | None = None):

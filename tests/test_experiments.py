@@ -35,12 +35,13 @@ from openrmt import (
 )
 from openrmt.experiments import (
     DEFAULT_RADIUS,
-    _bin_region,
+    _bin_samples,
     _equal_mass_edges,
     _mc_chunk_n1,
     _rects,
     _region_forward,
     _region_inverse,
+    _region_table,
     _samples_to_region_uv,
 )
 from openrmt.geronimo_case import RealPolynomial
@@ -333,7 +334,9 @@ def test_every_sample_is_binned_or_unbinned():
     params = EnsembleParams(2.0, 1, 1.0, CHI)
     covered = 0.0
     for name, rect in _rects(DEFAULT_RADIUS):
-        expected, counts, unbinned = _bin_region(name, rect, params, 10**6, 15, region_uv[name])
+        expected, label = _region_table(name, rect, params, 10**6, 15)
+        assert label.dtype == np.int32 and label.max() == len(expected) - 1
+        counts, unbinned = _bin_samples(rect, label, len(expected), region_uv[name])
         assert len(counts) == len(expected)
         assert counts.sum() + unbinned == len(region_uv[name]), name
         covered += expected.sum()
@@ -354,6 +357,61 @@ def test_mc_compare_small_run():
     assert stats["split_deviation"] < stats["split_3sigma"] + 2e-4
     assert stats["max_rel_bin_deviation"] < 0.10
     assert stats["bins_scored"] > 0
+
+
+def test_mc_compare_statistics_are_pinned():
+    """The chunk-by-chunk binning gives exactly the statistics of binning all samples at once."""
+    report = density_mc_compare_n1(1.0, 1.0, CHI, 100_000, SEED)
+    assert report.statistics == {
+        "max_rel_bin_deviation": 0.05831359348151996,
+        "bins_scored": 39,
+        "bins_total": 39,
+        "real_fraction_empirical": 0.51409,
+        "real_fraction_quadrature": 0.5116524652473853,
+        "split_deviation": 0.0024375347526147673,
+        "split_3sigma": 0.00474212819363092,
+        "unbinned_samples": 4,
+        "expected_mass_covered": 1.0000023537203249,
+    }
+
+
+def test_mc_compare_peak_memory_does_not_grow_with_trials():
+    """Each chunk is binned as it is drawn, so four times the trials trace the same peak."""
+    import tracemalloc
+
+    peaks = []
+    for trials in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            density_mc_compare_n1(1.0, 1.0, CHI, trials, SEED)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1e6, peaks
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_real_fraction_matches_the_one_dimensional_integral(beta):
+    """The real-pair share behind the region-split verdict, from the sampler's law alone.
+
+    At n = 1 both zeros are real when b^2 >= 4 (1 - kappa^2), with
+    b ~ N(0, 2 gamma^2 / beta): a one-dimensional integral over the kappa
+    law.  The split verdict compares with the quadrature of the four real
+    regions out to the radius; the tail estimate adds the rest.
+    """
+    from scipy import integrate, special
+
+    kappa_law = spstats.chi(3.0, scale=0.5)
+    b_scale = math.sqrt(2.0 / beta)  # gamma = 1
+
+    def both_real(kappa):
+        half_width = 2.0 * math.sqrt(1.0 - kappa * kappa)
+        return special.erfc(half_width / (b_scale * math.sqrt(2.0))) * kappa_law.pdf(kappa)
+
+    exact = integrate.quad(both_real, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12)[0] + kappa_law.sf(1.0)
+    stats = density_normalization_n1(beta, 1.0, CHI).statistics
+    quadrature = sum(stats[f"mass_{name}"] for name in experiments.REGIONS if name != "conj_pair")
+    assert abs(exact - (quadrature + stats["tail_estimate"])) < 1e-6
 
 
 def test_membership_at_unit_coupling_passes():

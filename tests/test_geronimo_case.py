@@ -95,10 +95,9 @@ def test_companion_recovery_from_main_sequence():
             even = k_from_lstar_rows([seq.lstar[2 * k].coeffs])[0]
             assert np.allclose(even, seq.k[2 * k].coeffs, rtol=1e-9, atol=1e-9)
         for k in range(n):
-            # degree 2k in a row as wide as L*_{2k+1}: the top entry is zero
             odd = k_from_lstar_rows([seq.lstar[2 * k + 1].coeffs])[0]
-            assert np.allclose(odd[:-1], seq.k[2 * k + 1].coeffs, rtol=1e-9, atol=1e-9)
-            assert odd[-1] == 0
+            assert len(odd) == len(seq.k[2 * k + 1].coeffs) == 2 * k + 1
+            assert np.allclose(odd, seq.k[2 * k + 1].coeffs, rtol=1e-9, atol=1e-9)
 
 
 def test_inverse_fixtures():
