@@ -55,12 +55,6 @@ from .geronimo_case import (
     gc_inverse_rows,
     lstar_rows,
 )
-from .identities import (
-    IdentityReport,
-    check_zero_coefficient_identities,
-    stepwise_jacobian_fd,
-    total_jacobian_fd,
-)
 from .jacobi import (
     JacobiCoefficients,
     TruncatedOperator,
@@ -94,7 +88,6 @@ __all__ = [
     "EnsembleParams",
     "ExperimentReport",
     "GCSequence",
-    "IdentityReport",
     "InversionError",
     "JacobiCoefficients",
     "KappaDistribution",
@@ -113,7 +106,6 @@ __all__ = [
     "UnsupportedVariantError",
     "assemble_coupled",
     "canonicalize_conjugates",
-    "check_zero_coefficient_identities",
     "chi_sample",
     "classify",
     "dense_vs_tridiagonal_test",
@@ -146,9 +138,7 @@ __all__ = [
     "sample_dense_gaussian",
     "sample_kappa",
     "semicircle_moment_test",
-    "stepwise_jacobian_fd",
     "sum_zeros_test",
-    "total_jacobian_fd",
     "tridiag_eigenvalues",
     "truncate",
 ]

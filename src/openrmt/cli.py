@@ -37,10 +37,11 @@ from .experiments import (
     roundtrip_suite,
     run_resonance_sampling,
 )
-from .geronimo_case import gc_forward
+from .geronimo_case import lstar_rows
 from .jacobi import JacobiCoefficients, perturbation_order
 from .spectra import (
     EIGENVALUE,
+    RootFindingError,
     canonicalize_conjugates,
     classify,
     coefficient_zeros,
@@ -165,12 +166,16 @@ def cmd_spectrum(args) -> int:
     except ValueError as exc:
         _usage(str(exc))
         return 2
-    seq = gc_forward(coeffs)
-    config, verdict = resolve(coefficient_zeros(coeffs), perturbation_order(coeffs))
+    try:
+        zeros = coefficient_zeros(coeffs)
+    except RootFindingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    config, verdict = resolve(zeros, perturbation_order(coeffs))
     doc = {
         "a": list(coeffs.a),
         "b": list(coeffs.b),
-        "polynomial": [float(c) for c in seq.final.coeffs],
+        "polynomial": lstar_rows(np.array([coeffs.a]), np.array([coeffs.b]))[0].tolist(),
         "zeros": [[z.real, z.imag, lab] for z, lab in zip(config.points, config.labels)],
         "in_S": bool(verdict),
         "clause": verdict.clause,

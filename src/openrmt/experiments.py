@@ -37,15 +37,15 @@ from .ensembles import (
     sample_dense_gaussian,
     sample_kappa,
 )
-from .geronimo_case import gc_forward, gc_inverse_blocks, lstar_blocks
+from .geronimo_case import _forward_steps, gc_inverse_blocks, lstar_blocks, lstar_rows
 from .identities import (
     TOL_IDENTITY,
     TOL_IDENTITY_V,
     TOL_IDENTITY_V_IMAG,
     TOL_JACOBIAN,
-    check_zero_coefficient_identities,
-    stepwise_jacobian_fd,
-    total_jacobian_fd,
+    identity_residuals,
+    step_jacobian_residuals,
+    total_jacobian_residuals,
 )
 from .jacobi import (
     JacobiCoefficients,
@@ -58,8 +58,9 @@ from .spectra import (
     EIGENVALUE,
     RESONANCE,
     ResolvedRows,
+    companion_roots,
     linearization_zeros,
-    polynomial_roots,
+    polynomial_roots,  # noqa: F401  (perfbench's tracer wraps this name)
     resolve_rows,
 )
 
@@ -145,6 +146,22 @@ def random_coefficients(stream: RandomStream, n: int, avoid_unit_last_a: bool = 
     """Random perturbed coefficients of one substream, as drawn by _draw_coefficients."""
     a, b = _draw_coefficients(stream.generator, n, avoid_unit_last_a)
     return JacobiCoefficients(tuple(a.tolist()), tuple(b.tolist()))
+
+
+def _draw_trials(seed: int, trials: int, max_n: int, avoid_unit_last_a: bool = True):
+    """One coefficient set per substream, n uniform on 1..max_n, grouped by n.
+
+    Returns {n: (trial indices, a, b)} with a, b (rows, n) in trial order,
+    n ascending.
+    """
+    ns = np.empty(trials, dtype=int)
+    a, b = np.empty((trials, max_n)), np.empty((trials, max_n))
+    for trial, stream in enumerate(_trial_streams(seed, 0, trials)):
+        gen = stream.generator
+        n = ns[trial] = int(gen.integers(1, max_n + 1))
+        a[trial, :n], b[trial, :n] = _draw_coefficients(gen, n, avoid_unit_last_a)
+    groups = {n: np.flatnonzero(ns == n) for n in np.unique(ns).tolist()}
+    return {n: (rows, a[rows, :n], b[rows, :n]) for n, rows in groups.items()}
 
 
 @dataclass(frozen=True)
@@ -462,17 +479,11 @@ def roundtrip_suite(
     fail.
     """
     t0 = time.perf_counter()
-    ns = np.empty(trials, dtype=int)
-    a, b = np.empty((trials, max_n)), np.empty((trials, max_n))
-    for trial, stream in enumerate(_trial_streams(seed, 0, trials)):
-        gen = stream.generator
-        n = ns[trial] = int(gen.integers(1, max_n + 1))
-        a[trial, :n], b[trial, :n] = _draw_coefficients(gen, n)
-    groups = {n: np.flatnonzero(ns == n) for n in np.unique(ns).tolist()}
-    blocks = [(a[rows, :n], b[rows, :n]) for n, rows in groups.items()]
+    groups = _draw_trials(seed, trials, max_n)
+    blocks = [(a, b) for _, a, b in groups.values()]
     results = gc_inverse_blocks(lstar_blocks(blocks, precision), precision)
     errors, failed = [], []
-    for rows, (want_a, want_b), (got_a, got_b, failures) in zip(groups.values(), blocks, results):
+    for (rows, want_a, want_b), (got_a, got_b, failures) in zip(groups.values(), results):
         failed.extend((rows[i], exc) for i, exc in failures.items())
         want, got = np.hstack([want_a, want_b]), np.hstack([got_a, got_b])
         errors.append(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
@@ -500,43 +511,26 @@ def identity_suite(trials: int, seed: int, max_n: int = 8) -> ExperimentReport:
     1/|1 - z_j z_k| purely through conditioning of the double-precision
     ladder coefficients, which no amount of root refinement undoes.
     """
-    max_res = {"identity_i": 0.0, "identity_ii": 0.0, "identity_iii": 0.0, "identity_iv": 0.0}
-    max_v = 0.0
-    max_v_imag = 0.0
-    v_scored = 0
-    v_rejected = 0
-    levels = 0
-    for stream in _trial_streams(seed, 0, trials):
-        n = int(stream.generator.integers(1, max_n + 1))
-        coeffs = random_coefficients(stream, n, avoid_unit_last_a=False)
-        ladder = gc_forward(coeffs)
-        for m in range(1, 2 * n + 1):
-            report = check_zero_coefficient_identities(coeffs, m, ladder=ladder)
-            levels += 1
-            for key in max_res:
-                max_res[key] = max(max_res[key], report.residuals[key])
-            if (
-                "identity_v" in report.residuals
-                and report.values["min_abs_one_minus_zjzk"] > GENERIC_STRATUM_GAP
-            ):
-                v_scored += 1
-                max_v = max(max_v, report.residuals["identity_v"])
-                max_v_imag = max(max_v_imag, report.imag_residual)
-            else:
-                v_rejected += 1
-    stats = {f"max_{k}": v for k, v in max_res.items()}
+    pair_keys = ("identity_v", "identity_v_imag")
+    elementary = ("identity_i", "identity_ii", "identity_iii", "identity_iv")
+    worst = dict.fromkeys(elementary + pair_keys, 0.0)
+    levels = v_scored = 0
+    for _, a, b in _draw_trials(seed, trials, max_n, avoid_unit_last_a=False).values():
+        for L, _ in _forward_steps(a, b, 1.0):
+            res = identity_residuals(L, a, b)
+            scored = res["pair_gap"] > GENERIC_STRATUM_GAP
+            for key in worst:
+                values = res[key][scored] if key in pair_keys else res[key]
+                worst[key] = max(worst[key], float(np.max(values, initial=0.0)))
+            levels += len(L)
+            v_scored += int(scored.sum())
+    stats = {f"max_{k}": v for k, v in worst.items()}
     stats.update(
-        {
-            "max_identity_v": max_v,
-            "max_identity_v_imag": max_v_imag,
-            "levels_checked": levels,
-            "identity_v_scored": v_scored,
-            "identity_v_rejected": v_rejected,
-        }
+        levels_checked=levels, identity_v_scored=v_scored, identity_v_rejected=levels - v_scored
     )
-    verdicts = {k: v < TOL_IDENTITY for k, v in max_res.items()}
-    verdicts["identity_v"] = max_v < TOL_IDENTITY_V and v_scored > 0
-    verdicts["identity_v_imag"] = max_v_imag < TOL_IDENTITY_V_IMAG
+    verdicts = {k: worst[k] < TOL_IDENTITY for k in elementary}
+    verdicts["identity_v"] = worst["identity_v"] < TOL_IDENTITY_V and v_scored > 0
+    verdicts["identity_v_imag"] = worst["identity_v_imag"] < TOL_IDENTITY_V_IMAG
     return ExperimentReport(
         name="identities",
         trials=trials,
@@ -548,22 +542,12 @@ def identity_suite(trials: int, seed: int, max_n: int = 8) -> ExperimentReport:
 
 
 def jacobian_suite(trials: int, seed: int, max_n: int = 5) -> ExperimentReport:
-    """Finite-difference step and total Jacobian determinants vs formulas."""
+    """Complex-step step and total Jacobian determinants vs formulas."""
     worst = {"jacobian_odd_step": 0.0, "jacobian_even_step": 0.0, "jacobian_total": 0.0}
-    for stream in _trial_streams(seed, 0, trials):
-        n = int(stream.generator.integers(1, max_n + 1))
-        coeffs = random_coefficients(stream, n, avoid_unit_last_a=False)
-        ladder = gc_forward(coeffs)
-        for k in range(n):
-            rep = stepwise_jacobian_fd(coeffs, k, ladder=ladder)
-            worst["jacobian_odd_step"] = max(
-                worst["jacobian_odd_step"], rep.residuals["jacobian_odd_step"]
-            )
-            worst["jacobian_even_step"] = max(
-                worst["jacobian_even_step"], rep.residuals["jacobian_even_step"]
-            )
-        rep = total_jacobian_fd(coeffs)
-        worst["jacobian_total"] = max(worst["jacobian_total"], rep.residuals["jacobian_total"])
+    for _, a, b in _draw_trials(seed, trials, max_n, avoid_unit_last_a=False).values():
+        res = {**step_jacobian_residuals(a, b), "jacobian_total": total_jacobian_residuals(a, b)}
+        for key in worst:
+            worst[key] = max(worst[key], float(res[key].max()))
     return ExperimentReport(
         name="jacobians",
         trials=trials,
@@ -586,20 +570,17 @@ def ks_test(samples, cdf) -> tuple[float, float]:
 
 
 def _sum_zeros_chunk(args) -> tuple[list[float], float]:
-    """Zero sums by the monomial route: ladder polynomial, then companion roots."""
+    """Zero sums by the monomial route: ladder polynomials, then companion roots."""
     params, seed, start, stop = args
     s, t, kappa = sample_coupled_trials(params, RandomStream(seed).substreams(start, stop))
     a, b, failures = coupled_coefficients(s, t, params.gamma, kappa)
     if failures:
         raise failures[min(failures)]
-    sums = []
-    worst_imag = 0.0
-    for a_row, b_row in zip(a.tolist(), b.tolist()):
-        coeffs = JacobiCoefficients(tuple(a_row), tuple(b_row))
-        total = complex(np.sum(polynomial_roots(gc_forward(coeffs).final)))
-        sums.append(total.real)
-        worst_imag = max(worst_imag, abs(total.imag))
-    return sums, worst_imag
+    roots, failures = companion_roots(lstar_rows(a, b))
+    if failures:
+        raise failures[min(failures)]
+    totals = np.sum(roots, axis=1)
+    return totals.real.tolist(), float(np.max(np.abs(totals.imag), initial=0.0))
 
 
 def sum_zeros_test(

@@ -145,15 +145,21 @@ _to_decimal = np.frompyfunc(Decimal, 1, 1)
 _decimal_is_finite = np.frompyfunc(Decimal.is_finite, 1, 1)
 
 
+def _floats(x) -> np.ndarray:
+    """A new float64 array of x, or complex128 when x is complex."""
+    return np.array(x, dtype=complex if np.iscomplexobj(x) else float)
+
+
 @contextmanager
 def _working_type(precision: int | None):
     """Yield one and the conversion of an array-like to the working type.
 
-    That is float64, or at a precision an object array of exact Decimals,
-    inside a fresh context of that many digits.
+    That is float64 (complex128 for complex input), or at a precision an
+    object array of exact Decimals, inside a fresh context of that many
+    digits.
     """
     if precision is None:
-        yield 1.0, lambda x: np.array(x, dtype=float)
+        yield 1.0, _floats
     else:
         with localcontext(_context(precision)):
             yield Decimal(1), lambda x: _to_decimal(np.asarray(x, dtype=object))
@@ -213,10 +219,10 @@ def _k_rows(L: np.ndarray, one, ok: np.ndarray, failures: dict) -> np.ndarray:
 def k_from_lstar_rows(lstar: np.ndarray) -> np.ndarray:
     """Companion K_m of each monic row L*_m of lstar (T, m + 1), in floats.
 
-    K_m has degree 2 floor(m / 2).  Raises the InversionError of the
-    lowest failing row.
+    K_m has degree 2 floor(m / 2); complex rows give complex K.  Raises
+    the InversionError of the lowest failing row.
     """
-    L = np.array(lstar, dtype=float)
+    L = _floats(lstar)
     failures: dict[int, InversionError] = {}
     q = _k_rows(L, 1.0, np.ones(len(L), dtype=bool), failures)
     if failures:
@@ -227,22 +233,26 @@ def k_from_lstar_rows(lstar: np.ndarray) -> np.ndarray:
 def _forward_steps(a: np.ndarray, b: np.ndarray, one, active: Sequence[int] | None = None):
     """Yield the row blocks (L*_j, K_j) for j = 1..2N, one level at a time.
 
-    a, b are (T, N) in the working type of one.  With active given, only
-    the first active[k] rows climb level k + 1: rows sorted by their own
-    n, descending, leave as a suffix.  Only the current level is kept.
+    a, b are (T, N) in the working type of one, or complex.  With active
+    given, only the first active[k] rows climb level k + 1: rows sorted by
+    their own n, descending, leave as a suffix.  Only the current level is
+    kept.  Huge coefficients overflow to inf without a warning; callers
+    check finiteness where it matters.
     """
     rows = len(a)
-    c, pad = a * a - one, np.full((rows, 1), one - one)
-    L = K = np.full((rows, 1), one)
+    with np.errstate(over="ignore"):
+        c, pad = a * a - one, np.full((rows, 1), one - one)
+    L = K = np.full((rows, 1), one, dtype=np.result_type(a, b))
     for k in range(a.shape[1]):
         live = rows if active is None else active[k]
         L, K, width = L[:live], K[:live], K.shape[1]
         L1 = np.concatenate([pad[:live], L], axis=1)
-        L1[:, :width] = L1[:, :width] - b[:live, k, None] * K
-        L2 = np.concatenate([pad[:live], L1], axis=1)
-        K2 = L2.copy()
-        L2[:, :width] = L2[:, :width] - c[:live, k, None] * K
-        K2[:, :width] = K2[:, :width] + K
+        with np.errstate(over="ignore", invalid="ignore"):
+            L1[:, :width] = L1[:, :width] - b[:live, k, None] * K
+            L2 = np.concatenate([pad[:live], L1], axis=1)
+            K2 = L2.copy()
+            L2[:, :width] = L2[:, :width] - c[:live, k, None] * K
+            K2[:, :width] = K2[:, :width] + K
         yield L1, K
         yield L2, K2
         L, K = L2, K2
@@ -270,7 +280,8 @@ def lstar_blocks(blocks: list, precision: int | None = None) -> list[np.ndarray]
 
     The rows climb stacked by n, descending, and a block's L*_{2n} is read
     off when its last level ends.  Returns the (T_i, 2 n_i + 1) rows of
-    each block in the order given, each what lstar_rows gives it alone.
+    each block in the order given, each what lstar_rows gives it alone;
+    complex blocks climb in complex128.
     """
     order = sorted(range(len(blocks)), key=lambda i: -np.shape(blocks[i][0])[1])
     ns = [np.shape(blocks[i][0])[1] for i in order]
@@ -278,10 +289,12 @@ def lstar_blocks(blocks: list, precision: int | None = None) -> list[np.ndarray]
     spans = list(zip(order, ns, offsets, offsets[1:]))
     finals = [None] * len(blocks)
     with _working_type(precision) as (one, convert):
-        a = np.full((offsets[-1], max(ns, default=0)), one)
+        blocks = [tuple(map(convert, block)) for block in blocks]
+        dtype = np.result_type(float, *[x for block in blocks for x in block])
+        a = np.full((offsets[-1], max(ns, default=0)), one, dtype=dtype)
         b = a.copy()
         for i, n, lo, hi in spans:
-            a[lo:hi, :n], b[lo:hi, :n] = map(convert, blocks[i])
+            a[lo:hi, :n], b[lo:hi, :n] = blocks[i]
         active = [offsets[sum(n > k for n in ns)] for k in range(a.shape[1])]
         for level, (L, _) in enumerate(_forward_steps(a, b, one, active), start=1):
             for i, n, lo, hi in spans:

@@ -19,10 +19,12 @@ residual certificate in L*_{2n} (RootFindingError when it fails):
   are no spurious eigenvalues, and kappa = a_n = 1 gives an exact zero.
   :func:`coefficient_zeros` is its one-row form for a single coefficient
   set, with exact origin zeros for trailing free levels.
-- :func:`polynomial_roots` takes the eigenvalues of the monic companion
-  matrix of one polynomial, which is backward stable (Edelman & Murakami,
-  Math. Comp. 64, 1995), after exact origin zeros are stripped.  It is
-  the independent monomial route that the tests compare against.
+- :func:`companion_roots` takes the eigenvalues of the monic companion
+  matrices of a stack of polynomials, which is backward stable (Edelman &
+  Murakami, Math. Comp. 64, 1995), after exact origin zeros are stripped.
+  It is the independent monomial route that the zero-sum law, the
+  identity suite and the tests compare against; :func:`polynomial_roots`
+  is its one-row call.
 
 Verdicts are array operations over stacked root sets (T, K):
 :func:`resolve_rows` canonicalizes conjugate pairs, drops origin zeros,
@@ -78,29 +80,50 @@ def _residuals_ok(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.all(np.abs(p) <= bound, axis=1)
 
 
-def polynomial_roots(p: RealPolynomial) -> np.ndarray:
-    """All complex roots of p with multiplicity, certified by residual.
+def companion_roots(coeffs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    """All complex roots of stacked polynomials, each row certified by residual.
 
-    Exact zero trailing structure (roots at the origin) is stripped before
-    the eigenvalue solve and re-appended, so degenerate ladder polynomials
-    like pure powers of z are handled exactly.
+    coeffs (T, d + 1) holds one polynomial of degree d >= 1 per row, in
+    ascending order.  A row's exact origin zeros (its leading zero
+    coefficients) are stripped before the eigenvalue solve and re-appended,
+    so degenerate ladder polynomials like pure powers of z are handled
+    exactly; the rows of each stripped degree share one stacked solve of
+    their monic companion matrices.  Returns the roots (T, d), each row
+    sorted by (re, im), and failures: row -> the RootFindingError of a row
+    whose roots fail the certificate.
     """
-    coeffs = [float(c) for c in p.coeffs]
-    if len(coeffs) - 1 < 1:
+    coeffs = np.asarray(coeffs, dtype=float)
+    rows, width = coeffs.shape
+    if width < 2:
         raise ValueError("need degree at least 1")
-    n_origin = 0
-    while coeffs and coeffs[0] == 0.0:
-        coeffs.pop(0)
-        n_origin += 1
-    deg = len(coeffs) - 1
-    # monic companion matrix; the first-row slice is empty when only origin zeros remain
-    companion = np.eye(deg, k=-1)
-    companion[:1] = -np.array(coeffs[-2::-1]) / coeffs[-1]
-    roots = np.linalg.eigvals(companion).astype(complex)
-    if not _residuals_ok(np.array([coeffs]), roots[None])[0]:
-        raise RootFindingError(f"root residuals exceed tolerance for degree {deg} input")
-    out = np.concatenate([roots, np.zeros(n_origin, dtype=complex)])
-    return np.array(sorted(out, key=_canon_key))
+    origin = np.argmax(coeffs != 0.0, axis=1)
+    roots = np.zeros((rows, width - 1), dtype=complex)
+    failures: dict[int, Exception] = {}
+    for stripped in np.unique(origin).tolist():
+        group = np.flatnonzero(origin == stripped)
+        p = coeffs[group, stripped:]
+        deg = width - 1 - stripped
+        companion = np.tile(np.eye(deg, k=-1), (len(group), 1, 1))
+        # the first-row slice is empty when only origin zeros remain
+        companion[:, :1] = (-p[:, -2::-1] / p[:, -1:])[:, None]
+        found = np.linalg.eigvals(companion).astype(complex)
+        for i in group[~_residuals_ok(p, found)]:
+            failures[int(i)] = RootFindingError(
+                f"root residuals exceed tolerance for degree {deg} input"
+            )
+        roots[group, :deg] = found
+    return np.sort(roots, axis=1, kind="stable"), failures
+
+
+def polynomial_roots(p: RealPolynomial) -> np.ndarray:
+    """All complex roots of p with multiplicity, sorted by (re, im), certified by residual.
+
+    The one-row call of companion_roots; raises the row's failure.
+    """
+    roots, failures = companion_roots([[float(c) for c in p.coeffs]])
+    if failures:
+        raise failures[0]
+    return roots[0]
 
 
 def _row_blocks(rows: int, width: int) -> list[slice]:
@@ -141,7 +164,8 @@ def _linearization_eigvals(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, di
     mat = np.zeros((rows, 2 * n, 2 * n))
     mat[:, idx, n + idx] = 1.0
     mat[:, n + idx, idx] = -1.0
-    mat[:, 2 * n - 1, n - 1] = a[:, -1] * a[:, -1] - 1.0
+    with np.errstate(over="ignore"):  # a non-finite row is reported below
+        mat[:, 2 * n - 1, n - 1] = a[:, -1] * a[:, -1] - 1.0
     mat[:, n + idx, n + idx] = b
     mat[:, n + idx[1:], n + idx[:-1]] = a[:, :-1]
     mat[:, n + idx[:-1], n + idx[1:]] = a[:, :-1]

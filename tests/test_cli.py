@@ -326,6 +326,22 @@ def test_spectrum_names_a_non_finite_coefficient(capsys, a, b, message):
 
 
 @pytest.mark.parametrize(
+    "a, b, status, message",
+    [
+        # a_1^2 overflows: the ladder and the linearization carry inf, and the solve refuses it
+        ("1e300", "1e300", 2, "Array must not contain infs or NaNs"),
+        # every entry finite, but the zeros fail their residual certificate
+        ("1e200,2", "1e200,3", 1, "root residuals exceed tolerance for degree 4 input"),
+    ],
+)
+def test_spectrum_of_huge_coefficients_is_one_error_line(a, b, status, message):
+    proc = run_cli("spectrum", "--a", a, "--b", b)
+    assert proc.returncode == status
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["normalize", "--radius", "0.5"], "radius must be greater than 1, got 0.5"),

@@ -164,16 +164,57 @@ def test_jacobian_suite_small():
     assert report.passed
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_suites_share_one_ladder_per_trial(monkeypatch, seed):
-    """One ladder per trial gives the reports of one ladder per check."""
-    shared = identity_suite(50, seed).to_dict(), jacobian_suite(50, seed).to_dict()
-    ladders = []
-    # the suites now get None, so every check computes its own ladder
-    monkeypatch.setattr(experiments, "gc_forward", ladders.append)
-    per_check = identity_suite(50, seed).to_dict(), jacobian_suite(50, seed).to_dict()
-    assert len(ladders) == 100
-    assert shared == per_check
+# Statistics as the per-trial ladder with one-row companion roots and
+# per-level identity checks computed them; the stacked suites keep them
+# bit for bit.  point:1 puts an exact zero at the origin of every L*_{2n}.
+SUM_ZEROS_PINS = {
+    "chi:3:0.5": {
+        "ks_stat": 0.028149383844010334,
+        "p_value": 0.08245937046146468,
+        "max_imag_part": 1.1102230246251565e-16,
+    },
+    "point:1": {
+        "ks_stat": 0.02814938384401172,
+        "p_value": 0.08245937046143892,
+        "max_imag_part": 1.1102230246251565e-16,
+    },
+}
+IDENTITY_PINS = {
+    1: {
+        "max_identity_i": 1.1384909188371759e-14,
+        "max_identity_ii": 2.8276042424482456e-14,
+        "max_identity_iii": 1.1546319456101628e-13,
+        "max_identity_iv": 7.518087019752695e-15,
+        "max_identity_v": 1.8763657294760883e-11,
+        "max_identity_v_imag": 1.4210854715202004e-14,
+        "levels_checked": 1826,
+        "identity_v_scored": 1457,
+        "identity_v_rejected": 369,
+    },
+    7: {
+        "max_identity_i": 1.625538959227133e-14,
+        "max_identity_ii": 3.241851231905457e-14,
+        "max_identity_iii": 5.5221953242998226e-14,
+        "max_identity_iv": 1.865174681370263e-14,
+        "max_identity_v": 2.6517454898215352e-11,
+        "max_identity_v_imag": 1.4210854715202004e-14,
+        "levels_checked": 1822,
+        "identity_v_scored": 1439,
+        "identity_v_rejected": 383,
+    },
+}
+
+
+@pytest.mark.parametrize("kappa", sorted(SUM_ZEROS_PINS))
+def test_sum_zeros_statistics_are_pinned(kappa):
+    params = EnsembleParams(2.0, 3, 1.0, KappaDistribution.from_spec(kappa))
+    report = sum_zeros_test(params, 2000, SEED)
+    assert report.statistics == SUM_ZEROS_PINS[kappa]
+
+
+@pytest.mark.parametrize("seed", sorted(IDENTITY_PINS))
+def test_identity_suite_statistics_are_pinned(seed):
+    assert identity_suite(200, seed).statistics == IDENTITY_PINS[seed]
 
 
 def test_ks_test_requires_samples_and_detects_shifts():

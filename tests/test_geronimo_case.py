@@ -440,6 +440,22 @@ def test_mixed_n_blocks_equal_their_one_block_calls(precision):
     assert messages[2] == messages[4] == []
 
 
+def test_complex_rows_climb_the_ladder_in_complex():
+    """Complex input keeps its imaginary part; with none, the real ladder comes out bit for bit."""
+    gen = np.random.default_rng(SEED + 9)
+    blocks = [(gen.uniform(0.5, 2, (3, n)), gen.uniform(-1, 1, (3, n))) for n in (2, 4)]
+    real = lstar_blocks(blocks)
+    for (a, b), want in zip(blocks, real):
+        got = lstar_rows(a + 0j, b)
+        assert got.dtype == complex and not got.imag.any()
+        assert _bits(got.real) == _bits(want)
+        k = k_from_lstar_rows(got)
+        assert k.dtype == complex and _bits(k.real) == _bits(k_from_lstar_rows(want))
+    # L*_2 = z^2 - b z + 1 - a^2: its derivative in a is -2 a
+    step = lstar_rows(np.array([[1.5 + 1e-20j]]), np.array([[0.5]]))
+    assert step.imag[0].tolist() == pytest.approx([-3e-20, 0.0, 0.0], rel=1e-15, abs=0.0)
+
+
 def test_empty_block_lists_and_blocks():
     assert lstar_blocks([]) == [] and gc_inverse_blocks([], 40) == []
     assert lstar_rows(np.empty((0, 3)), np.empty((0, 3)), 40).shape == (0, 7)

@@ -17,7 +17,7 @@ from openrmt import (
     polynomial_roots,
     resolve,
 )
-from openrmt.spectra import resolve_rows
+from openrmt.spectra import companion_roots, resolve_rows
 
 SEED = 161803
 
@@ -42,6 +42,31 @@ def test_origin_roots_are_exact():
     roots = polynomial_roots(RealPolynomial((0.0, 0.0, 0.0, 1.0)))
     assert len(roots) == 3
     assert all(z == 0 for z in roots)
+
+
+def _one_row_companion_roots(coeffs: list) -> np.ndarray:
+    """Reference: strip origin zeros, companion eigenvalues, append the zeros, sort by (re, im)."""
+    origin = next(i for i, c in enumerate(coeffs) if c != 0.0)
+    p = coeffs[origin:]
+    companion = np.eye(len(p) - 1, k=-1)
+    companion[:1] = -np.array(p[-2::-1]) / p[-1]
+    roots = np.concatenate([np.linalg.eigvals(companion), np.zeros(origin)])
+    return np.array(sorted(roots, key=lambda z: (z.real, z.imag)))
+
+
+def test_stacked_companion_roots_equal_each_row_alone():
+    """Rows with 0, 1 and 2 origin zeros share one call; each gets its one-row roots."""
+    gen = np.random.default_rng(SEED + 2)
+    rows = [list(gen.uniform(-2, 2, 6)) + [1.0] for _ in range(3)]
+    rows[1][0] = 0.0
+    rows[2][:2] = [0.0, -0.0]
+    rows += [rows[2], rows[0]]
+    roots, failures = companion_roots(np.array(rows))
+    assert failures == {}
+    assert [np.count_nonzero(r == 0) for r in roots] == [0, 1, 2, 2, 0]
+    for got, coeffs in zip(roots, rows):
+        np.testing.assert_array_equal(got, _one_row_companion_roots(coeffs))
+        np.testing.assert_array_equal(got, polynomial_roots(RealPolynomial(tuple(coeffs))))
 
 
 def test_linear_and_constant_edge_cases():
