@@ -416,6 +416,78 @@ def test_mc_compare_statistics_are_pinned():
     }
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, statistics",
+    [
+        (
+            (4.0, 1.3, KappaDistribution("uniform", (0.2, 1.5)), 300_000, 3),
+            {"bins": 12, "radius": 4.0},
+            {
+                "max_rel_bin_deviation": 0.04905693987781323,
+                "bins_scored": 122,
+                "bins_total": 122,
+                "real_fraction_empirical": 0.48148,
+                "real_fraction_quadrature": 0.4797712744393657,
+                "split_deviation": 0.0017087255606343388,
+                "split_3sigma": 0.002736370581603628,
+                "unbinned_samples": 2,
+                "expected_mass_covered": 0.9995693502562468,
+            },
+        ),
+        (
+            (2.0, 1.0, CHI, 100_000, SEED),
+            {"bins": 1},
+            {
+                "max_rel_bin_deviation": 0.015972120752060268,
+                "bins_scored": 5,
+                "bins_total": 5,
+                "real_fraction_empirical": 0.40726,
+                "real_fraction_quadrature": 0.406005856321386,
+                "split_deviation": 0.0012541436786139837,
+                "split_3sigma": 0.004658847398860706,
+                "unbinned_samples": 0,
+                "expected_mass_covered": 1.0000201745596042,
+            },
+        ),
+    ],
+    ids=["uniform-bins12-radius4", "bins1"],
+)
+def test_mc_compare_statistics_are_pinned_across_geometries(args, kwargs, statistics):
+    assert density_mc_compare_n1(*args, **kwargs).statistics == statistics
+
+
+@pytest.mark.parametrize(
+    "beta, masses, total, tail",
+    [
+        (
+            1.0,
+            (0.1137375571653486, 0.19261598940677183, 0.19261598940677185,
+             0.01268292926849299, 0.48832709677760866),
+            0.9999795620249939,
+            2.052546651067705e-05,
+        ),
+        (
+            2.0,
+            (0.14267618485116904, 0.12337843155541925, 0.12337843155541925,
+             0.016572808359378514, 0.5939942326294154),
+            1.0000000889508014,
+            2.0332132625925965e-09,
+        ),
+        (
+            4.0,
+            (0.16726272867290454, 0.07141032076738998, 0.07141032076739026,
+             0.020886377069973552, 0.66903034955178),
+            1.0000000968294382,
+            1.1862805485463076e-16,
+        ),
+    ],
+)
+def test_density_normalization_statistics_are_pinned(beta, masses, total, tail):
+    stats = {f"mass_{name}": m for name, m in zip(experiments.REGIONS, masses)}
+    stats.update({"total": total, "tail_estimate": tail, "radius": DEFAULT_RADIUS, "nodes": 200})
+    assert density_normalization_n1(beta).statistics == stats
+
+
 def test_mc_compare_peak_memory_does_not_grow_with_trials():
     """Each chunk is binned as it is drawn, so four times the trials trace the same peak."""
     import tracemalloc
