@@ -41,6 +41,7 @@ from .geronimo_case import lstar_rows
 from .jacobi import JacobiCoefficients, perturbation_order
 from .spectra import (
     EIGENVALUE,
+    ORIGIN_RADIUS,
     RootFindingError,
     canonicalize_conjugates,
     classify,
@@ -168,10 +169,18 @@ def cmd_spectrum(args) -> int:
         return 2
     try:
         zeros = coefficient_zeros(coeffs)
-    except RootFindingError as exc:
+    except (RootFindingError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    config, verdict = resolve(zeros, perturbation_order(coeffs))
+    k = perturbation_order(coeffs)
+    config, verdict = resolve(zeros, k)
+    if config.origin_drops > len(zeros) - k:
+        # float64 cannot tell zeros this small from the origin; the verdict stands as computed
+        print(
+            f"warning: {config.origin_drops} zeros dropped within {ORIGIN_RADIUS:g} of the origin,"
+            f" expected {len(zeros) - k}",
+            file=sys.stderr,
+        )
     doc = {
         "a": list(coeffs.a),
         "b": list(coeffs.b),

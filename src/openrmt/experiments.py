@@ -729,6 +729,8 @@ def dense_vs_tridiagonal_test(
 # (T, 1) pair rows, and kappa is drawn by ensembles.sample_kappa.
 # The Monte Carlo comparison first builds every region's bin table from
 # the density alone, then counts each chunk of samples into it as drawn.
+# A table keeps one row of bin labels per u-strip, so only the fine grid
+# of the region being built is ever held.
 
 
 # name: (rectangle (u0, u1, v0, v1) at radius R, whether u is the first
@@ -780,14 +782,16 @@ def _region_log_density(name: str, u, v, params: EnsembleParams):
 def _quadrature_masses(pieces, params: EnsembleParams) -> list[float]:
     """Mass of each (region, rectangle) piece under one QUAD_NODES-point Gauss-Legendre rule."""
     xg, wg = np.polynomial.legendre.leggauss(QUAD_NODES)
+    vals = np.empty((QUAD_NODES, QUAD_NODES))
     masses = []
     for name, (u0, u1, v0, v1) in pieces:
         un = 0.5 * (u1 - u0) * xg + 0.5 * (u0 + u1)
         vn = 0.5 * (v1 - v0) * xg + 0.5 * (v0 + v1)
         wu = 0.5 * (u1 - u0) * wg
         wv = 0.5 * (v1 - v0) * wg
-        uu, vv = np.meshgrid(un, vn, indexing="ij")
-        vals = _region_log_density(name, uu, vv, params)
+        for lo in range(0, QUAD_NODES, STRIP_ROWS):
+            uu, vv = np.meshgrid(un[lo : lo + STRIP_ROWS], vn, indexing="ij")
+            vals[lo : lo + STRIP_ROWS] = _region_log_density(name, uu, vv, params)
         masses.append(float(np.einsum("i,j,ij->", wu, wv, vals)))
     return masses
 
@@ -889,17 +893,17 @@ def _equal_mass_edges(cum: np.ndarray, pieces: int) -> np.ndarray:
 
 
 def _region_table(name, rect, params, trials, max_pieces):
-    """Equal-mass 2d bins of one region: expected masses and the fine-cell bin labels.
+    """Equal-mass 2d bins of one region: expected masses, row_strip and strip_labels.
 
     A fine midpoint grid over the rectangle, evaluated STRIP_ROWS u-rows
     at a time, supplies the quantile edges (equal-mass strips in u, each
-    cut into equal-mass pieces in v, on grid lines) and labels every
-    fine cell with its bin, so one bincount of the cells gives the
-    expected masses and one of the samples' cells the counts
-    (:func:`_bin_samples`).  The number of bins per axis adapts to the
-    region mass so every bin targets roughly BIN_TARGET_COUNT expected
-    samples; at that count the per-bin Poisson noise sits near 2 percent
-    and a 3.5 sigma outlier still clears a 10 percent tolerance.
+    cut into equal-mass pieces in v, on grid lines).  Fine cell (i, j)
+    lies in bin strip_labels[row_strip[i], j]; each strip's masses are
+    summed STRIP_ROWS rows at a time, in the order of one bincount over
+    the whole grid.  The number of bins per axis adapts to the region
+    mass so every bin targets roughly BIN_TARGET_COUNT expected samples;
+    at that count the per-bin Poisson noise sits near 2 percent and a
+    3.5 sigma outlier still clears a 10 percent tolerance.
     """
     u0, u1, v0, v1 = rect
     du = (u1 - u0) / FINE_GRID
@@ -915,18 +919,30 @@ def _region_table(name, rect, params, trials, max_pieces):
     pieces = int(math.sqrt(max(region_mass * trials / BIN_TARGET_COUNT, 1.0)))
     pieces = max(1, min(pieces, max_pieces))
     grid = np.arange(FINE_GRID)
-    label = np.empty(cells.shape, dtype=np.int32)
-    bins = 0
     u_edges = _equal_mass_edges(np.cumsum(cells.sum(axis=1)), pieces)
-    for lo, hi in zip(u_edges[:-1], u_edges[1:]):
+    row_strip = np.repeat(np.arange(len(u_edges) - 1), np.diff(u_edges))
+    strip_labels = np.empty((len(u_edges) - 1, FINE_GRID), dtype=np.intp)
+    masses = []
+    bins = 0
+    for s, (lo, hi) in enumerate(zip(u_edges[:-1], u_edges[1:])):
         v_edges = _equal_mass_edges(np.cumsum(cells[lo:hi].sum(axis=0)), pieces)
-        label[lo:hi] = bins + np.searchsorted(v_edges, grid, "right") - 1
-        bins += len(v_edges) - 1
-    return np.bincount(label.ravel(), cells.ravel(), bins), label
+        local = np.searchsorted(v_edges, grid, "right") - 1
+        mass = np.zeros(len(v_edges) - 1)
+        for r in range(lo, hi, STRIP_ROWS):
+            rows = cells[r : min(r + STRIP_ROWS, hi)]
+            np.add.at(mass, np.broadcast_to(local, rows.shape), rows)
+        strip_labels[s] = bins + local
+        masses.append(mass)
+        bins += len(mass)
+    return np.concatenate(masses), row_strip, strip_labels
 
 
-def _bin_samples(rect, label, bins, samples_uv):
-    """Counts per bin of samples already mapped to the rectangle, and how many fall outside it."""
+def _bin_samples(rect, table, samples_uv):
+    """Counts per bin of samples already mapped to the rectangle, and how many fall outside it.
+
+    table is the region's (expected, row_strip, strip_labels) from :func:`_region_table`.
+    """
+    expected, row_strip, strip_labels = table
     u0, u1, v0, v1 = rect
     du = (u1 - u0) / FINE_GRID
     dv = (v1 - v0) / FINE_GRID
@@ -934,7 +950,7 @@ def _bin_samples(rect, label, bins, samples_uv):
     in_rect = (u >= u0) & (u < u1) & (v >= v0) & (v < v1)
     su = np.clip(((u[in_rect] - u0) / du).astype(int), 0, FINE_GRID - 1)
     sv = np.clip(((v[in_rect] - v0) / dv).astype(int), 0, FINE_GRID - 1)
-    counts = np.bincount(label[su, sv], minlength=bins)
+    counts = np.bincount(strip_labels[row_strip[su], sv], minlength=len(expected))
     return counts, len(u) - int(in_rect.sum())
 
 
@@ -985,7 +1001,7 @@ def density_mc_compare_n1(
     params = EnsembleParams(beta, 1, gamma, kappa_dist)
     rects = _rects(radius)
     tables = {name: _region_table(name, rect, params, trials, bins) for name, rect in rects}
-    counts = {name: np.zeros(len(expected), dtype=np.int64) for name, (expected, _) in tables.items()}
+    counts = {name: np.zeros(len(table[0]), dtype=np.int64) for name, table in tables.items()}
 
     sizes = [MC_CHUNK] * (trials // MC_CHUNK)
     if trials % MC_CHUNK:
@@ -999,8 +1015,7 @@ def density_mc_compare_n1(
         real_count += len(real_pairs)
         region_uv = _samples_to_region_uv(real_pairs, conj_pairs)
         for name, rect in rects:
-            expected, label = tables[name]
-            chunk_counts, extra = _bin_samples(rect, label, len(expected), region_uv[name])
+            chunk_counts, extra = _bin_samples(rect, tables[name], region_uv[name])
             counts[name] += chunk_counts
             unbinned += extra
 
@@ -1008,7 +1023,7 @@ def density_mc_compare_n1(
     bins_scored = 0
     bins_total = 0
     expected_mass = 0.0
-    for name, (expected, _) in tables.items():
+    for name, (expected, _, _) in tables.items():
         bins_total += len(expected)
         expected_mass += float(expected.sum())
         scored = expected * trials >= MIN_EXPECTED_COUNT

@@ -329,7 +329,7 @@ def test_spectrum_names_a_non_finite_coefficient(capsys, a, b, message):
     "a, b, status, message",
     [
         # a_1^2 overflows: the ladder and the linearization carry inf, and the solve refuses it
-        ("1e300", "1e300", 2, "Array must not contain infs or NaNs"),
+        ("1e300", "1e300", 1, "Array must not contain infs or NaNs"),
         # every entry finite, but the zeros fail their residual certificate
         ("1e200,2", "1e200,3", 1, "root residuals exceed tolerance for degree 4 input"),
     ],
@@ -339,6 +339,24 @@ def test_spectrum_of_huge_coefficients_is_one_error_line(a, b, status, message):
     assert proc.returncode == status
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "a, b, stderr",
+    [
+        # the true small zeros are a complex pair of modulus ~1.7e-80, which float64 does not resolve
+        ("1e80,2", "1,1", "warning: 2 zeros dropped within 1e-10 of the origin, expected 0\n"),
+        # the trailing free level puts two exact zeros at the origin
+        ("0.5,1", "0.3,0", ""),
+        # kappa = 1 puts one exact zero at the origin
+        ("0.7,1", "0.2,0.4", ""),
+    ],
+)
+def test_spectrum_warns_when_more_zeros_are_dropped_than_expected(a, b, stderr):
+    proc = run_cli("spectrum", f"--a={a}", f"--b={b}")
+    assert proc.returncode == 0
+    assert proc.stderr == stderr
+    assert json.loads(proc.stdout)["clause"] == ("count" if stderr else None)
 
 
 @pytest.mark.parametrize(

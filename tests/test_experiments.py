@@ -34,13 +34,17 @@ from openrmt import (
     sum_zeros_test,
 )
 from openrmt.experiments import (
+    BIN_TARGET_COUNT,
     DEFAULT_RADIUS,
+    FINE_GRID,
+    STRIP_ROWS,
     _bin_samples,
     _equal_mass_edges,
     _mc_chunk_n1,
     _rects,
     _region_forward,
     _region_inverse,
+    _region_log_density,
     _region_table,
     _samples_to_region_uv,
 )
@@ -375,13 +379,50 @@ def test_every_sample_is_binned_or_unbinned():
     params = EnsembleParams(2.0, 1, 1.0, CHI)
     covered = 0.0
     for name, rect in _rects(DEFAULT_RADIUS):
-        expected, label = _region_table(name, rect, params, 10**6, 15)
-        assert label.dtype == np.int32 and label.max() == len(expected) - 1
-        counts, unbinned = _bin_samples(rect, label, len(expected), region_uv[name])
+        table = _region_table(name, rect, params, 10**6, 15)
+        expected, row_strip, strip_labels = table
+        assert strip_labels[row_strip].max() == len(expected) - 1
+        counts, unbinned = _bin_samples(rect, table, region_uv[name])
         assert len(counts) == len(expected)
         assert counts.sum() + unbinned == len(region_uv[name]), name
         covered += expected.sum()
     assert abs(covered - 1.0) < 5e-4
+
+
+def _dense_label_table(name, rect, params, trials, max_pieces):
+    """The fine cells and a label for every one of them, built grid-wide row by row."""
+    u0, u1, v0, v1 = rect
+    du, dv = (u1 - u0) / FINE_GRID, (v1 - v0) / FINE_GRID
+    uc = u0 + (np.arange(FINE_GRID) + 0.5) * du
+    vc = v0 + (np.arange(FINE_GRID) + 0.5) * dv
+    cells = np.empty((FINE_GRID, FINE_GRID))
+    for lo in range(0, FINE_GRID, STRIP_ROWS):
+        uu, vv = np.meshgrid(uc[lo : lo + STRIP_ROWS], vc, indexing="ij")
+        cells[lo : lo + STRIP_ROWS] = _region_log_density(name, uu, vv, params) * (du * dv)
+    pieces = int(math.sqrt(max(float(cells.sum()) * trials / BIN_TARGET_COUNT, 1.0)))
+    pieces = max(1, min(pieces, max_pieces))
+    label = np.empty(cells.shape, dtype=np.int32)
+    bins = 0
+    u_edges = _equal_mass_edges(np.cumsum(cells.sum(axis=1)), pieces)
+    for lo, hi in zip(u_edges[:-1], u_edges[1:]):
+        v_edges = _equal_mass_edges(np.cumsum(cells[lo:hi].sum(axis=0)), pieces)
+        label[lo:hi] = bins + np.searchsorted(v_edges, np.arange(FINE_GRID), "right") - 1
+        bins += len(v_edges) - 1
+    return cells, label, bins
+
+
+@pytest.mark.parametrize(
+    "beta, kappa, trials, max_pieces",
+    [(1.0, CHI, 10**6, 15), (4.0, KappaDistribution("uniform", (0.2, 1.5)), 300_000, 12), (2.0, CHI, 10**5, 1)],
+)
+def test_strip_labels_rebuild_the_dense_label_grid(beta, kappa, trials, max_pieces):
+    """Per-strip labels give every fine cell its bin, and the strip sums are one grid-wide bincount."""
+    params = EnsembleParams(beta, 1, 1.0, kappa)
+    for name, rect in _rects(DEFAULT_RADIUS):
+        expected, row_strip, strip_labels = _region_table(name, rect, params, trials, max_pieces)
+        cells, label, bins = _dense_label_table(name, rect, params, trials, max_pieces)
+        assert np.array_equal(strip_labels[row_strip], label), name
+        assert expected.tobytes() == np.bincount(label.ravel(), cells.ravel(), bins).tobytes(), name
 
 
 def test_mc_compare_validates_inputs():
@@ -489,7 +530,11 @@ def test_density_normalization_statistics_are_pinned(beta, masses, total, tail):
 
 
 def test_mc_compare_peak_memory_does_not_grow_with_trials():
-    """Each chunk is binned as it is drawn, so four times the trials trace the same peak."""
+    """Each chunk is binned as it is drawn, so four times the trials trace the same peak.
+
+    One float grid of fine cells is alive at a time: no grid of labels,
+    no second region's cells, no quadrature grid in one piece.
+    """
     import tracemalloc
 
     peaks = []
@@ -501,6 +546,7 @@ def test_mc_compare_peak_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 1e6, peaks
+    assert peaks[0] < 2.5 * FINE_GRID * FINE_GRID * 8, peaks
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0])
