@@ -174,13 +174,12 @@ def cmd_spectrum(args) -> int:
         return 1
     k = perturbation_order(coeffs)
     config, verdict = resolve(zeros, k)
-    if config.origin_drops > len(zeros) - k:
-        # float64 cannot tell zeros this small from the origin; the verdict stands as computed
-        print(
-            f"warning: {config.origin_drops} zeros dropped within {ORIGIN_RADIUS:g} of the origin,"
-            f" expected {len(zeros) - k}",
-            file=sys.stderr,
-        )
+    exact = len(zeros) - k  # the origin zeros of trailing free levels and kappa = 1
+    if config.origin_drops > exact:
+        # float64 cannot tell the others from the origin; the verdict stands as computed
+        drops = config.origin_drops
+        warning = f"{drops} zeros dropped within {ORIGIN_RADIUS:g} of the origin, expected {exact}"
+        print(f"warning: {warning}", file=sys.stderr)
     doc = {
         "a": list(coeffs.a),
         "b": list(coeffs.b),

@@ -344,7 +344,7 @@ def test_spectrum_of_huge_coefficients_is_one_error_line(a, b, status, message):
 @pytest.mark.parametrize(
     "a, b, stderr",
     [
-        # the true small zeros are a complex pair of modulus ~1.7e-80, which float64 does not resolve
+        # the true small zeros, a complex pair of modulus ~1.7e-80, are lost in float64
         ("1e80,2", "1,1", "warning: 2 zeros dropped within 1e-10 of the origin, expected 0\n"),
         # the trailing free level puts two exact zeros at the origin
         ("0.5,1", "0.3,0", ""),

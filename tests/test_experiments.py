@@ -413,10 +413,14 @@ def _dense_label_table(name, rect, params, trials, max_pieces):
 
 @pytest.mark.parametrize(
     "beta, kappa, trials, max_pieces",
-    [(1.0, CHI, 10**6, 15), (4.0, KappaDistribution("uniform", (0.2, 1.5)), 300_000, 12), (2.0, CHI, 10**5, 1)],
+    [
+        (1.0, CHI, 10**6, 15),
+        (4.0, KappaDistribution("uniform", (0.2, 1.5)), 300_000, 12),
+        (2.0, CHI, 10**5, 1),
+    ],
 )
 def test_strip_labels_rebuild_the_dense_label_grid(beta, kappa, trials, max_pieces):
-    """Per-strip labels give every fine cell its bin, and the strip sums are one grid-wide bincount."""
+    """Per-strip labels give every fine cell its bin; strip sums equal one grid-wide bincount."""
     params = EnsembleParams(beta, 1, 1.0, kappa)
     for name, rect in _rects(DEFAULT_RADIUS):
         expected, row_strip, strip_labels = _region_table(name, rect, params, trials, max_pieces)
