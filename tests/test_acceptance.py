@@ -217,6 +217,15 @@ def test_criterion_7_distributional_checks():
     assert abs(m4 - 2.0) < 0.05
     for beta, rep in agree.items():
         assert rep.passed, (beta, rep.notes)
+    # the reports are pinned bit for bit, whatever reduction the dense route uses
+    assert moments.statistics == {
+        "second_moment": 1.0010311125964835,
+        "fourth_moment": 2.0046856630111565,
+    }
+    pins = {1: 0.23009750585879926, 2: 0.012657224426456587}
+    for beta, min_p in pins.items():
+        assert agree[beta].statistics == {"min_p_value": min_p, "coordinates": 7}
+        assert agree[beta].notes == (f"attempt 1: min coordinate p-value {min_p:.6g}",)
 
 
 def test_criterion_8_byte_for_byte_determinism():

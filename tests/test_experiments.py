@@ -251,6 +251,40 @@ def test_dense_and_tridiagonal_routes_agree():
     assert report.statistics["coordinates"] == 5
 
 
+# Reports as the per-trial direct draws and the hand-written Householder
+# loop computed them; seeds 140, 208 and 252 at (2, 3, 200) take the retry.
+DENSE_ROUTE_PINS = {
+    (1.0, 3, 800, 57721): (0.022186680978949103, ("0.0221867",)),
+    (2.0, 6, 2000, 5): (0.0023888444655152173, ("0.00238884",)),
+    (2.0, 3, 200, 140): (0.2704743832803917, ("0.000430611", "0.270474")),
+    (2.0, 3, 200, 208): (0.03956202584899502, ("0.000648608", "0.039562")),
+    (2.0, 3, 200, 252): (0.006094418258803505, ("0.000282922", "0.00609442")),
+}
+SEMICIRCLE_PINS = {
+    (2.0, 100, 40, 20240517): (1.0027079816514621, 2.009411139893741),
+    (1.0, 64, 300, 3): (1.0153106495272453, 2.076793218742391),
+    (4.0, 50, 120, 11): (0.9876180247957864, 1.9392331079593716),
+}
+
+
+@pytest.mark.parametrize("args", sorted(DENSE_ROUTE_PINS))
+def test_dense_vs_tridiagonal_report_is_pinned(args):
+    min_p, attempts = DENSE_ROUTE_PINS[args]
+    report = dense_vs_tridiagonal_test(*args)
+    assert report.statistics == {"min_p_value": min_p, "coordinates": 2 * args[1] - 1}
+    assert report.notes == tuple(
+        f"attempt {i}: min coordinate p-value {p}" for i, p in enumerate(attempts, 1)
+    )
+
+
+@pytest.mark.parametrize("args", sorted(SEMICIRCLE_PINS))
+def test_semicircle_moments_are_pinned(args):
+    m2, m4 = SEMICIRCLE_PINS[args]
+    report = semicircle_moment_test(*args)
+    assert report.statistics == {"second_moment": m2, "fourth_moment": m4}
+    assert report.notes == ()
+
+
 def test_dense_route_rejects_general_beta():
     from openrmt import UnsupportedVariantError
 
