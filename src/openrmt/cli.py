@@ -95,11 +95,12 @@ def _open_out(path: str):
             yield fh
 
 
-def _read_text(path: str) -> str:
+def _read_json(path: str):
+    """The JSON document at path ("-" for stdin), integers read as floats as JSON numbers are."""
     if path == "-":
-        return sys.stdin.read()
+        return json.loads(sys.stdin.read(), parse_int=float)
     with open(path) as fh:
-        return fh.read()
+        return json.load(fh, parse_int=float)
 
 
 def _usage(message: str) -> None:
@@ -123,6 +124,15 @@ def _parse_kappa(text: str) -> KappaDistribution:
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _is_number_list(values, length: int | None = None) -> bool:
+    """Whether values is a JSON list of numbers (bools excluded), of the given length if any."""
+    return (
+        isinstance(values, list)
+        and length in (None, len(values))
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+    )
 
 
 def cmd_sample(args) -> int:
@@ -155,7 +165,9 @@ def cmd_sample(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if args.input:
-        doc = json.loads(_read_text(args.input))
+        doc = _read_json(args.input)
+        if not isinstance(doc, dict) or not all(_is_number_list(doc.get(key)) for key in "ab"):
+            raise ValueError('input must be an object whose "a" and "b" are lists of numbers')
         a, b = tuple(map(float, doc["a"])), tuple(map(float, doc["b"]))
     elif args.a and args.b:
         a, b = _parse_floats(args.a), _parse_floats(args.b)
@@ -225,8 +237,12 @@ def cmd_verify(args) -> int:
     return _write_report(report, args.out)
 
 
-def _config_from_points(points):
-    flat = [complex(p[0], p[1]) for p in points]
+def _config_from_points(doc):
+    """The configuration of {"points": [[re, im], ...]} or of the bare list of points."""
+    points = doc.get("points") if isinstance(doc, dict) else doc
+    if not (isinstance(points, list) and all(_is_number_list(p, 2) for p in points)):
+        raise ValueError("input points must be a list of [re, im] number pairs")
+    flat = [complex(re, im) for re, im in points]
     return classify(canonicalize_conjugates(np.array(flat, dtype=complex)))
 
 
@@ -254,9 +270,7 @@ def cmd_density(args) -> int:
         return _write_report(report, args.out)
 
     # eval mode: configuration points from JSON, their count picks n and the law
-    doc = json.loads(_read_text(args.input))
-    points = doc["points"] if isinstance(doc, dict) else doc
-    config = _config_from_points(points)
+    config = _config_from_points(_read_json(args.input))
     n = (config.count + 1) // 2
     value = log_density(config, EnsembleParams(args.beta, n, args.gamma, kappa))
     out_doc = {

@@ -394,47 +394,22 @@ def sample_dense_gaussian(beta: float, n: int, stream: RandomStream) -> np.ndarr
 def householder_tridiagonalize(mat: np.ndarray) -> TridiagonalSample:
     """Reduce a Hermitian matrix to real tridiagonal form.
 
-    The similarity transform fixes the first basis vector, so the coupling
-    geometry of the lead attachment is preserved.  Signs and phases of the
-    off-diagonal entries are absorbed into the transform, making them
-    nonnegative.
+    LAPACK's Hessenberg reduction (?gehrd, via scipy.linalg.hessenberg) fixes
+    the first basis vector, so the coupling geometry of the lead attachment
+    is preserved.  Signs and phases of the off-diagonal entries are absorbed
+    into the transform, making them nonnegative.
     """
+    from scipy.linalg import hessenberg  # only here: importing the CLI does not load scipy
+
     a = np.array(mat, dtype=complex if np.iscomplexobj(mat) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("input must be a square matrix")
+    # before the Hermitian check, whose a - a^H warns on inf
+    if not np.isfinite(a).all():
+        raise ValueError("input matrix has non-finite entries")
     n = a.shape[0]
     scale = np.linalg.norm(a) or 1.0
     if np.linalg.norm(a - a.conj().T) > _HERMITIAN_RTOL * scale * n:
         raise ValueError("input matrix is not Hermitian")
-
-    for k in range(n - 2):
-        x = a[k + 1 :, k].copy()
-        xnorm = np.linalg.norm(x)
-        if xnorm == 0.0:
-            continue
-        # alpha carries the phase of x[0] so v = x - alpha*e1 avoids cancellation
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        alpha = -phase * xnorm
-        v = x
-        v[0] -= alpha
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        # two-sided P A P with P = I - 2 v v^H:
-        #   A' = A - 2 v w^H - 2 w v^H + 4 (v^H w) v v^H,  w = A v
-        sub = a[k + 1 :, k + 1 :]
-        w = sub @ v
-        c = v.conj() @ w
-        sub -= 2.0 * np.outer(v, w.conj()) + 2.0 * np.outer(w, v.conj())
-        sub += 4.0 * c * np.outer(v, v.conj())
-        a[k + 1 :, k] = 0.0
-        a[k + 1, k] = alpha
-        a[k, k + 1 :] = 0.0
-        a[k, k + 1] = np.conj(alpha)
-
-    diag = np.real(np.diag(a)).copy()
-    off = np.diag(a, -1).copy()
-    # rotate residual phases/signs away; diagonal stays real
-    t = np.abs(off)
-    return TridiagonalSample(tuple(float(x) for x in diag), tuple(float(x) for x in t))
+    h = hessenberg(a)
+    return TridiagonalSample(tuple(h.diagonal().real.tolist()), tuple(abs(h.diagonal(-1)).tolist()))

@@ -33,7 +33,6 @@ from .ensembles import (
     UnsupportedVariantError,
     householder_tridiagonalize,
     sample_coupled_trials,
-    sample_de_tridiagonal,
     sample_dense_gaussian,
     sample_kappa,
 )
@@ -125,6 +124,13 @@ def _trial_streams(seed: int, start: int, stop: int):
     """The substreams start..stop - 1 of the seed, built TRIAL_CHUNK at a time."""
     for lo in range(start, stop, TRIAL_CHUNK):
         yield from RandomStream(seed).substreams(lo, min(lo + TRIAL_CHUNK, stop))
+
+
+def _block_chunks(params: EnsembleParams, seed: int, start: int, stop: int):
+    """Blocks s (T, n), t (T, n - 1) of the substreams start..stop - 1, TRIAL_CHUNK at a time."""
+    for lo in range(start, stop, TRIAL_CHUNK):
+        streams = RandomStream(seed).substreams(lo, min(lo + TRIAL_CHUNK, stop))
+        yield sample_coupled_trials(params, streams)[:2]
 
 
 def _draw_coefficients(gen: np.random.Generator, n: int, avoid_unit_last_a: bool = True):
@@ -462,12 +468,7 @@ def membership_suite(
     )
 
 
-def roundtrip_suite(
-    trials: int,
-    seed: int,
-    max_n: int = 8,
-    precision: int | None = ROUNDTRIP_PRECISION,
-) -> ExperimentReport:
+def roundtrip_suite(trials: int, seed: int, max_n: int = 8) -> ExperimentReport:
     """Forward-then-inverse recursion must recover the coefficients.
 
     The inverse recursion loses roughly n digits per level on unlucky
@@ -481,7 +482,7 @@ def roundtrip_suite(
     t0 = time.perf_counter()
     groups = _draw_trials(seed, trials, max_n)
     blocks = [(a, b) for _, a, b in groups.values()]
-    results = gc_inverse_blocks(lstar_blocks(blocks, precision), precision)
+    results = gc_inverse_blocks(lstar_blocks(blocks, ROUNDTRIP_PRECISION), ROUNDTRIP_PRECISION)
     errors, failed = [], []
     for (rows, want_a, want_b), (got_a, got_b, failures) in zip(groups.values(), results):
         failed.extend((rows[i], exc) for i, exc in failures.items())
@@ -495,7 +496,7 @@ def roundtrip_suite(
         name="roundtrip",
         trials=trials,
         seed=seed,
-        params={"max_n": max_n, "precision": precision},
+        params={"max_n": max_n, "precision": ROUNDTRIP_PRECISION},
         statistics={"max_rel_error": worst, "elapsed_seconds": elapsed},
         verdicts={"max_rel_error": worst < ROUNDTRIP_TOL},
     )
@@ -584,7 +585,7 @@ def _sum_zeros_chunk(args) -> tuple[list[float], float]:
 
 
 def sum_zeros_test(
-    params: EnsembleParams, trials: int, seed: int, workers: int = 1, alpha: float = ALPHA
+    params: EnsembleParams, trials: int, seed: int, workers: int = 1
 ) -> ExperimentReport:
     """KS test of the zero sum against its exact normal law.
 
@@ -613,7 +614,7 @@ def sum_zeros_test(
             worst_imag = max(worst_imag, imag)
         stat_final, p_final = ks_test(sums, cdf)
         notes.append(f"attempt {attempt + 1}: ks p-value {p_final:.6g}")
-        if p_final > alpha:
+        if p_final > ALPHA:
             break
         offset += trials
     return ExperimentReport(
@@ -625,11 +626,11 @@ def sum_zeros_test(
             "n": params.n,
             "gamma": params.gamma,
             "kappa": params.kappa.spec(),
-            "alpha": alpha,
+            "alpha": ALPHA,
             "normal_scale": scale,
         },
         statistics={"ks_stat": stat_final, "p_value": p_final, "max_imag_part": worst_imag},
-        verdicts={"ks_pass": p_final > alpha, "sums_real": worst_imag < 1e-9},
+        verdicts={"ks_pass": p_final > ALPHA, "sums_real": worst_imag < 1e-9},
         notes=tuple(notes),
     )
 
@@ -645,13 +646,12 @@ def semicircle_moment_test(
     """
     if n < 50:
         raise ValueError("moment test is meaningful only for n >= 50")
-    params = EnsembleParams(beta, n)
     m2s, m4s = [], []
-    for stream in _trial_streams(seed, 0, trials):
-        sample = sample_de_tridiagonal(params, stream)
-        ev = tridiag_eigenvalues(TruncatedOperator(np.array(sample.s), np.array(sample.t)))
-        m2s.append(float(np.mean(ev**2)))
-        m4s.append(float(np.mean(ev**4)))
+    for s, t in _block_chunks(EnsembleParams(beta, n), seed, 0, trials):
+        for row_s, row_t in zip(s, t):
+            ev = tridiag_eigenvalues(TruncatedOperator(row_s, row_t))
+            m2s.append(float(np.mean(ev**2)))
+            m4s.append(float(np.mean(ev**4)))
     m2, m4 = float(np.mean(m2s)), float(np.mean(m4s))
     return ExperimentReport(
         name="semicircle_moments",
@@ -663,21 +663,16 @@ def semicircle_moment_test(
     )
 
 
-def _coordinate_draws(beta: float, n: int, trials: int, seed: int, dense: bool, offset: int):
+def _coordinate_draws(beta: float, n: int, trials: int, seed: int, offset: int):
+    """Rows (s, t) of the dense route, one matrix and one reduction per substream."""
     rows = np.empty((trials, 2 * n - 1))
     for trial, stream in enumerate(_trial_streams(seed, offset, offset + trials)):
-        if dense:
-            sample = householder_tridiagonalize(sample_dense_gaussian(beta, n, stream))
-        else:
-            sample = sample_de_tridiagonal(EnsembleParams(beta, n), stream)
-        rows[trial, :n] = sample.s
-        rows[trial, n:] = sample.t
+        sample = householder_tridiagonalize(sample_dense_gaussian(beta, n, stream))
+        rows[trial] = sample.s + sample.t
     return rows
 
 
-def dense_vs_tridiagonal_test(
-    beta: float, n: int, trials: int, seed: int, alpha: float = ALPHA
-) -> ExperimentReport:
+def dense_vs_tridiagonal_test(beta: float, n: int, trials: int, seed: int) -> ExperimentReport:
     """Per-coordinate two-sample KS between the two sampling routes.
 
     The dense route (Gaussian matrix then Householder reduction) and the
@@ -690,13 +685,14 @@ def dense_vs_tridiagonal_test(
 
     if beta not in (1, 2):
         raise UnsupportedVariantError("dense sampling exists only for beta in {1, 2}")
-    threshold = alpha / (2 * n - 1)
+    threshold = ALPHA / (2 * n - 1)
     notes = []
     min_p = 0.0
     for attempt in range(2):
         offset = attempt * 2 * trials
-        direct = _coordinate_draws(beta, n, trials, seed, dense=False, offset=offset)
-        dense = _coordinate_draws(beta, n, trials, seed, dense=True, offset=offset + trials)
+        blocks = _block_chunks(EnsembleParams(beta, n), seed, offset, offset + trials)
+        direct = np.vstack([np.hstack(block) for block in blocks])
+        dense = _coordinate_draws(beta, n, trials, seed, offset + trials)
         pvals = [
             float(spstats.ks_2samp(direct[:, j], dense[:, j]).pvalue)
             for j in range(2 * n - 1)
@@ -709,7 +705,7 @@ def dense_vs_tridiagonal_test(
         name="dense_vs_tridiagonal",
         trials=trials,
         seed=seed,
-        params={"beta": beta, "n": n, "alpha": alpha, "per_coordinate_alpha": threshold},
+        params={"beta": beta, "n": n, "alpha": ALPHA, "per_coordinate_alpha": threshold},
         statistics={"min_p_value": min_p, "coordinates": 2 * n - 1},
         verdicts={"coordinates_agree": min_p > threshold},
         notes=tuple(notes),

@@ -217,7 +217,7 @@ def test_criterion_7_distributional_checks():
     assert abs(m4 - 2.0) < 0.05
     for beta, rep in agree.items():
         assert rep.passed, (beta, rep.notes)
-    # the reports are pinned bit for bit, whatever reduction the dense route uses
+    # pinned bit for bit: the KS p-values depend only on the ranks of the coordinates
     assert moments.statistics == {
         "second_moment": 1.0010311125964835,
         "fourth_moment": 2.0046856630111565,

@@ -326,6 +326,37 @@ def test_spectrum_names_a_non_finite_coefficient(capsys, a, b, message):
 
 
 @pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["spectrum"], "{}"),
+        (["spectrum"], "[1, 2]"),
+        (["spectrum"], '{"a": [null], "b": [1]}'),
+        (["spectrum"], '{"a": "12", "b": "34"}'),
+        (["spectrum"], '{"a": [true], "b": [1]}'),
+        (["density", "eval"], "{}"),
+        (["density", "eval"], '{"points": [[1]]}'),
+        (["density", "eval"], '{"points": [1, 2]}'),
+        (["density", "eval"], '{"points": [[0.5, 0, 3]]}'),
+        (["density", "eval"], '[[0.5, "0"]]'),
+    ],
+)
+def test_malformed_json_input_is_a_usage_error(capsys, tmp_path, argv, doc):
+    path = tmp_path / "input.json"
+    path.write_text(doc)
+    assert cli.main([*argv, "--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: input ") and out.err.count("\n") == 1
+
+
+def test_spectrum_reads_a_huge_json_integer_as_a_float(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text('{"a": [1%s], "b": [0]}' % ("0" * 400))
+    assert cli.main(["spectrum", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: a[0] = inf must be finite\n"
+
+
+@pytest.mark.parametrize(
     "a, b, status, message",
     [
         # a_1^2 overflows: the ladder and the linearization carry inf, and the solve refuses it

@@ -168,6 +168,10 @@ def test_householder_rejects_bad_input():
         householder_tridiagonalize(np.ones((2, 3)))
     with pytest.raises(ValueError):
         householder_tridiagonalize(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    # non-finite entries are refused before the Hermitian check could warn on them
+    for mat in (np.full((3, 3), np.nan), np.array([[1.0, np.inf], [np.inf, 0.0]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            householder_tridiagonalize(mat)
 
 
 def test_ensemble_params_validation():
