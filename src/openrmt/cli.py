@@ -96,7 +96,7 @@ def _open_out(path: str):
 
 
 def _read_json(path: str):
-    """The JSON document at path ("-" for stdin), integers read as floats as JSON numbers are."""
+    """The JSON document at path ("-" for stdin); integers are read as floats, huge ones as inf."""
     if path == "-":
         return json.loads(sys.stdin.read(), parse_int=float)
     with open(path) as fh:
@@ -240,8 +240,9 @@ def cmd_verify(args) -> int:
 def _config_from_points(doc):
     """The configuration of {"points": [[re, im], ...]} or of the bare list of points."""
     points = doc.get("points") if isinstance(doc, dict) else doc
-    if not (isinstance(points, list) and all(_is_number_list(p, 2) for p in points)):
-        raise ValueError("input points must be a list of [re, im] number pairs")
+    pairs = isinstance(points, list) and all(_is_number_list(p, 2) for p in points)
+    if not (pairs and all(math.isfinite(x) for p in points for x in p)):
+        raise ValueError("input points must be a list of [re, im] pairs of finite numbers")
     flat = [complex(re, im) for re, im in points]
     return classify(canonicalize_conjugates(np.array(flat, dtype=complex)))
 

@@ -338,6 +338,8 @@ def test_spectrum_names_a_non_finite_coefficient(capsys, a, b, message):
         (["density", "eval"], '{"points": [1, 2]}'),
         (["density", "eval"], '{"points": [[0.5, 0, 3]]}'),
         (["density", "eval"], '[[0.5, "0"]]'),
+        (["density", "eval"], '{"points": [[NaN, 0], [0.5, 0]]}'),
+        (["density", "eval"], "[[1e999, 0], [0.5, 0]]"),
     ],
 )
 def test_malformed_json_input_is_a_usage_error(capsys, tmp_path, argv, doc):
