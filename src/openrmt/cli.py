@@ -38,6 +38,7 @@ from .experiments import (
     run_resonance_sampling,
 )
 from .geronimo_case import lstar_rows
+from .identities import MAX_TOTAL_JACOBIAN_N
 from .jacobi import JacobiCoefficients, perturbation_order
 from .spectra import (
     EIGENVALUE,
@@ -220,7 +221,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "identities":
         report = identity_suite(args.trials, args.seed, max_n=args.max_n)
     elif args.suite == "jacobian":
-        report = jacobian_suite(args.trials, args.seed, max_n=min(args.max_n, 5))
+        report = jacobian_suite(args.trials, args.seed, max_n=min(args.max_n, MAX_TOTAL_JACOBIAN_N))
     elif args.suite == "membership":
         kappa = _parse_kappa(args.kappa)
         report = membership_suite(

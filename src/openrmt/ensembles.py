@@ -11,7 +11,8 @@ around numpy's generators keyed by ``(seed, stream_id)``.  Identical
 keys give identical draw sequences, which is what makes trial-level
 parallelism reproducible: worker count never changes the output.  The
 generators of a range of trials are seeded in one array pass that
-reproduces numpy's ``SeedSequence`` word for word.
+reproduces numpy's ``SeedSequence`` word for word, and the stacked
+samplers take those generators directly.
 """
 
 from __future__ import annotations
@@ -133,10 +134,10 @@ class RandomStream:
     """Deterministic substream of the global experiment randomness.
 
     The generator is derived from ``(seed, stream_id)`` only.  Substreams
-    for parallel trials are obtained with :meth:`substream`, or a range
-    of them with :meth:`substreams`; the child id is an injective mix of
-    the parent id and the index for all indices below 2**32, so distinct
-    trials never collide.
+    for parallel trials are obtained with :meth:`substream`, and the
+    generators of a range of them with :meth:`generators`; the child id
+    is an injective mix of the parent id and the index for all indices
+    below 2**32, so distinct trials never collide.
     """
 
     seed: int
@@ -165,19 +166,16 @@ class RandomStream:
     def substream(self, index: int) -> "RandomStream":
         return RandomStream(self.seed, int(self._child_ids(index, index + 1)[0]))
 
-    def substreams(self, start: int, stop: int) -> list["RandomStream"]:
-        """``[self.substream(i) for i in range(start, stop)]``, with the generators built.
+    def generators(self, start: int, stop: int) -> list[np.random.Generator]:
+        """``[self.substream(i).generator for i in range(start, stop)]``, seeded in one pass.
 
         The seed words of all children come from one array pass (see
         :func:`_seed_words`); :attr:`generator` keeps numpy's own
         ``SeedSequence`` route and is the oracle for the batch.
         """
-        ids = self._child_ids(start, stop)
-        seed_words = _seed_words_type()
-        return [
-            RandomStream(self.seed, child, np.random.Generator(np.random.PCG64(seed_words(words))))
-            for child, words in zip(ids.tolist(), _seed_words(self.seed, ids))
-        ]
+        words = _seed_words(self.seed, self._child_ids(start, stop))
+        seed_words, generator, pcg64 = _seed_words_type(), np.random.Generator, np.random.PCG64
+        return [generator(pcg64(seed_words(row))) for row in words]
 
 
 @dataclass(frozen=True)
@@ -272,10 +270,6 @@ class TridiagonalSample:
         if any(x < 0 for x in self.t):
             raise ValueError("off-diagonal entries must be nonnegative")
 
-    @property
-    def n(self) -> int:
-        return len(self.s)
-
 
 def normal_sample(stream: RandomStream, mean: float, variance: float, size: int | None = None):
     """Normal draw(s) with the given mean and variance (variance > 0)."""
@@ -334,39 +328,46 @@ def _draw_trials(params: EnsembleParams, gens: list, kappa: KappaDistribution | 
     """One block, and one kappa raw variate unless kappa is None or a point law, per generator.
 
     Each generator draws in stream order: n normals (the diagonal s),
-    the n - 1 off-diagonal gamma variates one scalar-shape call each
-    (which consumes the stream exactly as one array-shape call does,
-    without its per-call argument checks), then kappa's raw variate.
-    The chi transform of the gammas runs once on the stacked rows.
+    the n - 1 off-diagonal gamma variates, then kappa's raw variate.
+    The normals are standard ones, scaled on the stacked rows as
+    ``normal(0, sd)`` scales each: 0.0 + sd * z.  The gammas go one
+    scalar-shape call each (which consumes the stream exactly as one
+    array-shape call does, without its per-call argument checks), and a
+    chi kappa's gamma variate is the last entry of the same per-trial
+    list.  The chi transform of the gammas runs once on the stacked rows.
     Returns s (T, n), t (T, n - 1) and the raw kappa variates (T,).
     """
     beta, n = params.beta, params.n
-    sd = math.sqrt(2.0 / (beta * n))
     shapes = (0.5 * (beta * (n - np.arange(1, n)))).tolist()
-    draw_kappa = kappa is not None and kappa.kind != "point"
+    kind = kappa.kind if kappa is not None else "point"
+    if kind == "chi":
+        shapes.append(0.5 * kappa.params[0])
     s = np.empty((len(gens), n))
-    g = np.empty((len(gens), n - 1))
-    raw = np.empty(len(gens))
-    for i, gen in enumerate(gens):
-        s[i] = gen.normal(0.0, sd, n)
+    g = np.empty((len(gens), len(shapes)))
+    raw = g[:, -1] if kind == "chi" else np.empty(len(gens))
+    for i, (row_s, row_g, gen) in enumerate(zip(s, g, gens)):
+        gen.standard_normal(out=row_s)
         draw_gamma = gen.standard_gamma
-        g[i] = [draw_gamma(shape) for shape in shapes]
-        if draw_kappa:
+        row_g[:] = [draw_gamma(shape) for shape in shapes]
+        if kind == "uniform":
             raw[i] = _kappa_raw(kappa, gen)
-    return s, np.sqrt(2.0 * g) / math.sqrt(beta * n), raw
+    s *= math.sqrt(2.0 / (beta * n))
+    s += 0.0
+    return s, np.sqrt(2.0 * g[:, : n - 1]) / math.sqrt(beta * n), raw
 
 
-def sample_coupled_trials(params: EnsembleParams, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked draws of one coupled trial per stream: s (T, n), t (T, n - 1), kappa (T,).
+def sample_coupled_trials(params: EnsembleParams, gens: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked draws of one coupled trial per generator: s (T, n), t (T, n - 1), kappa (T,).
 
-    Each stream draws its block as :func:`sample_de_tridiagonal` does and
-    then its coupling as :func:`sample_kappa` does, so row i depends on
-    streams[i] alone and not on how trials are grouped.
+    Each generator draws its block as :func:`sample_de_tridiagonal` does
+    and then its coupling as :func:`sample_kappa` does, so row i depends
+    on gens[i] alone and not on how trials are grouped.  The generators
+    of a range of trials come from :meth:`RandomStream.generators`.
     """
     dist = params.kappa
-    s, t, raw = _draw_trials(params, [stream.generator for stream in streams], dist)
+    s, t, raw = _draw_trials(params, gens, dist)
     if dist.kind == "point":
-        return s, t, np.full(len(streams), dist.params[0])
+        return s, t, np.full(len(gens), dist.params[0])
     return s, t, _kappa_from_raw(dist, raw)
 
 
@@ -378,12 +379,15 @@ def sample_dense_gaussian(beta: float, n: int, stream: RandomStream) -> np.ndarr
     converges to the semicircle on [-2, 2].  beta=4 is out of scope here;
     use the tridiagonal sampler for general beta.
     """
+    return _dense_gaussian(beta, n, stream.generator)
+
+
+def _dense_gaussian(beta: float, n: int, gen: np.random.Generator) -> np.ndarray:
+    """:func:`sample_dense_gaussian` drawn from a generator."""
     if beta == 1:
-        y = stream.generator.normal(0.0, 1.0, (n, n))
+        y = gen.normal(0.0, 1.0, (n, n))
     elif beta == 2:
-        y = stream.generator.normal(0.0, 1.0, (n, n)) + 1j * stream.generator.normal(
-            0.0, 1.0, (n, n)
-        )
+        y = gen.normal(0.0, 1.0, (n, n)) + 1j * gen.normal(0.0, 1.0, (n, n))
     else:
         raise UnsupportedVariantError(
             f"dense Gaussian sampling supports beta in {{1, 2}}, got {beta}"
@@ -408,8 +412,11 @@ def householder_tridiagonalize(mat: np.ndarray) -> TridiagonalSample:
     if not np.isfinite(a).all():
         raise ValueError("input matrix has non-finite entries")
     n = a.shape[0]
-    scale = np.linalg.norm(a) or 1.0
-    if np.linalg.norm(a - a.conj().T) > _HERMITIAN_RTOL * scale * n:
+    # the check runs on a copy scaled to a largest real or imaginary part of 1, so
+    # neither norm overflows
+    peak = max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0))
+    unit = a / (peak or 1.0)
+    if np.linalg.norm(unit - unit.conj().T) > _HERMITIAN_RTOL * np.linalg.norm(unit) * n:
         raise ValueError("input matrix is not Hermitian")
     h = hessenberg(a)
     return TridiagonalSample(tuple(h.diagonal().real.tolist()), tuple(abs(h.diagonal(-1)).tolist()))

@@ -31,9 +31,9 @@ from .ensembles import (
     KappaDistribution,
     RandomStream,
     UnsupportedVariantError,
+    _dense_gaussian,
     householder_tridiagonalize,
     sample_coupled_trials,
-    sample_dense_gaussian,
     sample_kappa,
 )
 from .geronimo_case import _forward_steps, gc_inverse_blocks, lstar_blocks, lstar_rows
@@ -56,6 +56,7 @@ from .jacobi import (
 from .spectra import (
     EIGENVALUE,
     RESONANCE,
+    STACK_BUDGET,
     ResolvedRows,
     companion_roots,
     linearization_zeros,
@@ -68,7 +69,8 @@ ROUNDTRIP_PRECISION = 40
 ROUNDTRIP_TOL = 1e-8
 KAPPA_IDENTITY_TOL = 1e-9
 MAX_FAILURE_RATE = 1e-3
-TRIAL_CHUNK = 256
+TRIAL_CHUNK = 1024
+MIN_TRIAL_CHUNK = 256
 MC_CHUNK = 1 << 15
 QUAD_NODES = 200
 FINE_GRID = 768
@@ -120,17 +122,31 @@ def _chunked(fn: Callable, args_list: list, workers: int) -> Iterator:
         yield from pool.map(fn, args_list)
 
 
-def _trial_streams(seed: int, start: int, stop: int):
-    """The substreams start..stop - 1 of the seed, built TRIAL_CHUNK at a time."""
-    for lo in range(start, stop, TRIAL_CHUNK):
-        yield from RandomStream(seed).substreams(lo, min(lo + TRIAL_CHUNK, stop))
+def _chunk_bounds(start: int, stop: int, workers: int, n: int) -> list[tuple[int, int]]:
+    """The (lo, hi) trial ranges of a stacked driver over trials start..stop - 1.
+
+    A range holds ceil(trials / workers) trials, so each worker runs one
+    stacked pass, but at most TRIAL_CHUNK; for large n the cap falls so
+    that a range's (2n, 2n) linearizations hold about STACK_BUDGET
+    entries, though never below MIN_TRIAL_CHUNK trials.  Every row
+    depends on its own substream alone, so the ranges never change a
+    result.
+    """
+    limit = min(TRIAL_CHUNK, max(MIN_TRIAL_CHUNK, STACK_BUDGET // (2 * n) ** 2))
+    step = max(1, min(-(-(stop - start) // max(workers, 1)), limit))
+    return [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+
+
+def _trial_generators(seed: int, start: int, stop: int, n: int):
+    """The generators of substreams start..stop - 1 of the seed, built one chunk at a time."""
+    for lo, hi in _chunk_bounds(start, stop, 1, n):
+        yield from RandomStream(seed).generators(lo, hi)
 
 
 def _block_chunks(params: EnsembleParams, seed: int, start: int, stop: int):
-    """Blocks s (T, n), t (T, n - 1) of the substreams start..stop - 1, TRIAL_CHUNK at a time."""
-    for lo in range(start, stop, TRIAL_CHUNK):
-        streams = RandomStream(seed).substreams(lo, min(lo + TRIAL_CHUNK, stop))
-        yield sample_coupled_trials(params, streams)[:2]
+    """Blocks s (T, n), t (T, n - 1) of the substreams start..stop - 1, one chunk at a time."""
+    for lo, hi in _chunk_bounds(start, stop, 1, params.n):
+        yield sample_coupled_trials(params, RandomStream(seed).generators(lo, hi))[:2]
 
 
 def _draw_coefficients(gen: np.random.Generator, n: int, avoid_unit_last_a: bool = True):
@@ -162,8 +178,7 @@ def _draw_trials(seed: int, trials: int, max_n: int, avoid_unit_last_a: bool = T
     """
     ns = np.empty(trials, dtype=int)
     a, b = np.empty((trials, max_n)), np.empty((trials, max_n))
-    for trial, stream in enumerate(_trial_streams(seed, 0, trials)):
-        gen = stream.generator
+    for trial, gen in enumerate(_trial_generators(seed, 0, trials, max_n)):
         n = ns[trial] = int(gen.integers(1, max_n + 1))
         a[trial, :n], b[trial, :n] = _draw_coefficients(gen, n, avoid_unit_last_a)
     groups = {n: np.flatnonzero(ns == n) for n in np.unique(ns).tolist()}
@@ -184,18 +199,18 @@ class _TrialBatch:
     failures: dict
 
 
-def _trial_batch(params: EnsembleParams, streams: list) -> _TrialBatch:
-    """Block, coupling, coefficients, zeros and verdicts of one trial per stream.
+def _trial_batch(params: EnsembleParams, gens: list) -> _TrialBatch:
+    """Block, coupling, coefficients, zeros and verdicts of one trial per generator.
 
     Every stage runs on the stacked rows: one linearization eigenvalue
     solve for all zeros, one array pass for all verdicts.  Row i depends
-    on streams[i] alone.  failures maps a row to the first exception of
+    on gens[i] alone.  failures maps a row to the first exception of
     its trial (bad coefficients, failed root certificate, unpaired
     roots).  The coupling residual compares kappa with sqrt(1 - prod z_j)
     over all 2n zeros, so any dropped origin zero makes the product 0; it
     is inf for a row with the wrong point count.
     """
-    s, t, kappa = sample_coupled_trials(params, streams)
+    s, t, kappa = sample_coupled_trials(params, gens)
     a, b, failures = coupled_coefficients(s, t, params.gamma, kappa)
     zeros, root_failures = linearization_zeros(a, b)
     rows = resolve_rows(zeros, perturbation_orders(a, b))
@@ -210,7 +225,7 @@ def _trial_batch(params: EnsembleParams, streams: list) -> _TrialBatch:
 
 def _pipeline_chunk(args) -> tuple[int, _TrialBatch]:
     params, seed, start, stop = args
-    return start, _trial_batch(params, RandomStream(seed).substreams(start, stop))
+    return start, _trial_batch(params, RandomStream(seed).generators(start, stop))
 
 
 def _record_dicts(start: int, batch: _TrialBatch) -> list[dict]:
@@ -385,18 +400,16 @@ def run_resonance_sampling(
 ) -> SamplingResult:
     """Sample the full pipeline, one array pass per chunk of trials, keeping zeros and checks.
 
-    Each chunk of TRIAL_CHUNK trials runs as one _trial_batch; the result
-    keeps the batches and builds record dicts or JSON lines from them on
+    Each chunk of trials (see :func:`_chunk_bounds`: one per worker, as
+    the size of n allows) runs as one _trial_batch; the result keeps the
+    batches and builds record dicts or JSON lines from them on
     request.  Individual numerical failures are collected rather than
     raised, but a failure rate above 0.1 percent aborts: that level cannot
     be explained by unlucky draws near the degenerate strata.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    chunk_args = [
-        (params, seed, start, min(start + TRIAL_CHUNK, trials))
-        for start in range(0, trials, TRIAL_CHUNK)
-    ]
+    chunk_args = [(params, seed, lo, hi) for lo, hi in _chunk_bounds(0, trials, workers, params.n)]
     result = SamplingResult(list(_chunked(_pipeline_chunk, chunk_args, workers)))
     if trials and result.failed > MAX_FAILURE_RATE * trials:
         raise RuntimeError(f"{result.failed} of {trials} sampling trials failed")
@@ -406,12 +419,12 @@ def run_resonance_sampling(
 def _membership_chunk(args) -> list[tuple]:
     betas, max_n, gamma, dist, seed, start, stop = args
     groups: dict[tuple[float, int], list] = {}
-    for trial, stream in enumerate(RandomStream(seed).substreams(start, stop), start):
-        n = int(stream.generator.integers(1, max_n + 1))
-        groups.setdefault((betas[trial % len(betas)], n), []).append((trial, stream))
+    for trial, gen in enumerate(RandomStream(seed).generators(start, stop), start):
+        n = int(gen.integers(1, max_n + 1))
+        groups.setdefault((betas[trial % len(betas)], n), []).append((trial, gen))
     rows = {}
     for (beta, n), members in groups.items():
-        batch = _trial_batch(EnsembleParams(beta, n, gamma, dist), [stream for _, stream in members])
+        batch = _trial_batch(EnsembleParams(beta, n, gamma, dist), [gen for _, gen in members])
         for i, (trial, _) in enumerate(members):
             if i in batch.failures:
                 rows[trial] = (False, math.inf, type(batch.failures[i]).__name__)
@@ -438,8 +451,8 @@ def membership_suite(
     """
     dist = kappa_dist or KappaDistribution("chi", (3.0, 0.5))
     chunk_args = [
-        (tuple(betas), max_n, gamma, dist, seed, start, min(start + TRIAL_CHUNK, trials))
-        for start in range(0, trials, TRIAL_CHUNK)
+        (tuple(betas), max_n, gamma, dist, seed, lo, hi)
+        for lo, hi in _chunk_bounds(0, trials, workers, max_n)
     ]
     rows = [r for block in _chunked(_membership_chunk, chunk_args, workers) for r in block]
     in_s = sum(1 for ok, _, _ in rows if ok)
@@ -573,7 +586,7 @@ def ks_test(samples, cdf) -> tuple[float, float]:
 def _sum_zeros_chunk(args) -> tuple[list[float], float]:
     """Zero sums by the monomial route: ladder polynomials, then companion roots."""
     params, seed, start, stop = args
-    s, t, kappa = sample_coupled_trials(params, RandomStream(seed).substreams(start, stop))
+    s, t, kappa = sample_coupled_trials(params, RandomStream(seed).generators(start, stop))
     a, b, failures = coupled_coefficients(s, t, params.gamma, kappa)
     if failures:
         raise failures[min(failures)]
@@ -605,8 +618,7 @@ def sum_zeros_test(
     worst_imag = 0.0
     for attempt in range(2):
         chunk_args = [
-            (params, seed, offset + s, offset + min(s + TRIAL_CHUNK, trials))
-            for s in range(0, trials, TRIAL_CHUNK)
+            (params, seed, lo, hi) for lo, hi in _chunk_bounds(offset, offset + trials, workers, params.n)
         ]
         sums: list[float] = []
         for block, imag in _chunked(_sum_zeros_chunk, chunk_args, workers):
@@ -666,8 +678,8 @@ def semicircle_moment_test(
 def _coordinate_draws(beta: float, n: int, trials: int, seed: int, offset: int):
     """Rows (s, t) of the dense route, one matrix and one reduction per substream."""
     rows = np.empty((trials, 2 * n - 1))
-    for trial, stream in enumerate(_trial_streams(seed, offset, offset + trials)):
-        sample = householder_tridiagonalize(sample_dense_gaussian(beta, n, stream))
+    for trial, gen in enumerate(_trial_generators(seed, offset, offset + trials, n)):
+        sample = householder_tridiagonalize(_dense_gaussian(beta, n, gen))
         rows[trial] = sample.s + sample.t
     return rows
 

@@ -136,10 +136,6 @@ class TruncatedOperator:
     diag: np.ndarray
     offdiag: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return len(self.diag)
-
 
 def truncate(coeffs: JacobiCoefficients, size: int) -> TruncatedOperator:
     """Finite section containing every perturbed entry (size >= n + 1)."""

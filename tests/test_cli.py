@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from openrmt import EnsembleParams, KappaDistribution, cli, experiments, log_density
+from openrmt.identities import MAX_TOTAL_JACOBIAN_N
 from openrmt.spectra import canonicalize_conjugates, classify
 
 SEED = "4242"
@@ -418,6 +419,14 @@ def test_verify_rejects_negative_trials_and_empty_sizes(capsys, suite):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: {message}\n"
+
+
+def test_verify_jacobian_clamps_max_n_to_the_total_jacobian_cap(capsys):
+    for max_n, want in ((3, 3), (8, 8), (12, MAX_TOTAL_JACOBIAN_N)):
+        argv = ["verify", "jacobian", "--trials", "60", "--max-n", str(max_n), "--seed", SEED]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["params"] == {"max_n": want} and doc["passed"] is True
 
 
 # sha256 over the draw-only fields of `sample --n 3 --trials 300 --seed 7`:

@@ -35,9 +35,10 @@ def test_normalization_constant_small_cases():
     assert abs(d - math.sqrt(math.pi) * 2.0**1.5 * math.e) < 1e-12
     assert abs(d - 13.627444) < 1e-5
 
-    # c(1, beta=2, gamma=1) = sqrt(2 pi)
-    c = normalization_constants(EnsembleParams(2.0, 1)).c
-    assert abs(c - math.sqrt(2.0 * math.pi)) < 1e-12
+    # c(1, beta=2, gamma=1) = sqrt(2 pi), and so is d_odd, the (2n - 1)-point constant
+    consts = normalization_constants(EnsembleParams(2.0, 1))
+    assert abs(consts.c - math.sqrt(2.0 * math.pi)) < 1e-12
+    assert abs(consts.d_odd - math.sqrt(2.0 * math.pi)) < 1e-12
 
 
 def test_normalization_constant_ratio():
@@ -219,7 +220,7 @@ def _oracle_log_density(z: np.ndarray, params: EnsembleParams) -> float:
 def _sampled_groups(beta: float, n: int, dist: KappaDistribution, trials: int = 120):
     """In-S rows of one sampled chunk, grouped by (L, M): {(L, M): (reals, pairs, configs)}."""
     batch = _trial_batch(
-        EnsembleParams(beta, n, 1.0, dist), [RandomStream(SEED).substream(i) for i in range(trials)]
+        EnsembleParams(beta, n, 1.0, dist), [RandomStream(SEED).substream(i).generator for i in range(trials)]
     )
     groups: dict = {}
     for i in range(trials):

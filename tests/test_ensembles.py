@@ -172,6 +172,12 @@ def test_householder_rejects_bad_input():
     for mat in (np.full((3, 3), np.nan), np.array([[1.0, np.inf], [np.inf, 0.0]])):
         with pytest.raises(ValueError, match="non-finite"):
             householder_tridiagonalize(mat)
+    # entries whose Frobenius norms overflow are still checked, and huge Hermitian ones pass
+    with pytest.raises(ValueError, match="not Hermitian"):
+        householder_tridiagonalize(np.array([[0.0, 1e200], [-1e200, 0.0]]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        householder_tridiagonalize(np.array([[1.0, 1e308 + 1e308j], [1e308 + 1e308j, 0.0]]))
+    assert householder_tridiagonalize(np.array([[0.0, 1e200], [1e200, 0.0]])).t == (1e200,)
 
 
 def test_ensemble_params_validation():
@@ -241,18 +247,20 @@ def test_batched_seed_words_match_numpy_seed_sequence(seed, parent_id):
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, SEED])
 @pytest.mark.parametrize("parent_id", [0, 2**64 - 1])
 def test_substreams_equal_one_substream_at_a_time(seed, parent_id):
+    """RandomStream.generators draws what each substream's own SeedSequence generator draws."""
     parent = RandomStream(seed, parent_id)
-    batch = parent.substreams(5, 45)
-    single = [parent.substream(i) for i in range(5, 45)]
-    assert [s.stream_id for s in batch] == [s.stream_id for s in single]
-    for got, want in zip(batch, single):
-        assert got.generator.bit_generator.state == want.generator.bit_generator.state
+    single = [parent.substream(i).generator for i in range(5, 45)]
+    for got, want in zip(parent.generators(5, 45), single, strict=True):
+        assert got.bit_generator.state == want.bit_generator.state
         # one bounded draw leaves a buffered 32-bit half behind (has_uint32, uinteger)
-        assert got.generator.integers(1, 9) == want.generator.integers(1, 9)
-        assert got.generator.bit_generator.state == want.generator.bit_generator.state
-    assert parent.substreams(7, 7) == []
+        assert got.integers(1, 9) == want.integers(1, 9)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.normal(0.0, 0.5, 3).tobytes() == want.normal(0.0, 0.5, 3).tobytes()
+        assert got.standard_gamma(1.5) == want.standard_gamma(1.5)
+        assert got.bit_generator.state == want.bit_generator.state
+    assert parent.generators(7, 7) == []
     with pytest.raises(ValueError):
-        parent.substreams(-1, 3)
+        parent.generators(-1, 3)
 
 
 def _reference_trial(params, stream):
@@ -277,7 +285,7 @@ def _reference_trial(params, stream):
 def test_coupled_trials_are_bit_identical_to_per_trial_array_draws(n, beta):
     for spec in ("point:1.3", "uniform:0.5:2", "chi:3:0.5"):
         params = EnsembleParams(beta, n, 1.0, KappaDistribution.from_spec(spec))
-        s, t, kappa = sample_coupled_trials(params, RandomStream(SEED).substreams(0, 24))
+        s, t, kappa = sample_coupled_trials(params, RandomStream(SEED).generators(0, 24))
         for i in range(24):
             ref_s, ref_t, ref_kappa = _reference_trial(params, RandomStream(SEED).substream(i))
             assert s[i].tobytes() == ref_s.tobytes()

@@ -48,6 +48,14 @@ def test_polynomial_basics():
     assert RealPolynomial(()).degree == -1
 
 
+def test_polynomials_compare_and_hash_by_trimmed_coefficients():
+    p = RealPolynomial((1.0, 0.0, 2.0, 0.0))
+    assert p == RealPolynomial((1, 0, 2)) and hash(p) == hash(RealPolynomial((1, 0, 2)))
+    assert p != RealPolynomial((1.0, 0.0, 2.0, 0.0), trim=False)
+    assert p != RealPolynomial((1.0, 0.0, 3.0)) and p != (1.0, 0.0, 2.0)
+    assert len({p, RealPolynomial((1.0, 0.0, 2.0)), RealPolynomial(())}) == 2
+
+
 def test_forward_single_bump():
     """a=3, b=2: the ladder gives z-2, then z^2-2z-8 with companion z^2-2z+1."""
     seq = gc_forward(JacobiCoefficients((3.0,), (2.0,)))

@@ -92,7 +92,7 @@ def test_records_do_not_depend_on_chunk_bounds(n, kappa):
 def test_row_blocks_do_not_change_zeros_or_verdicts(monkeypatch):
     """Stacks split into blocks of a few rows give the rows of one whole stack."""
     s, t, kappa = sample_coupled_trials(
-        EnsembleParams(2.0, 8, 1.0, CHI), [RandomStream(SEED).substream(i) for i in range(40)]
+        EnsembleParams(2.0, 8, 1.0, CHI), RandomStream(SEED).generators(0, 40)
     )
     a, b, failures = coupled_coefficients(s, t, 1.0, kappa)
     assert not failures

@@ -255,3 +255,23 @@ def test_results_compare_by_records_and_failures():
     assert one == SamplingResult([_pipeline_chunk((params, SEED, lo, lo + 10)) for lo in (0, 10, 20)])
     assert one != run_resonance_sampling(params, 30, SEED + 1)
     assert one != run_resonance_sampling(params, 29, SEED)
+
+
+def test_one_stacked_pass_per_worker_within_the_per_n_cap(monkeypatch):
+    # chunks run in this process: the pool maps the same chunk arguments in order
+    monkeypatch.setattr(experiments, "_chunked", lambda fn, args_list, workers: map(fn, args_list))
+    chi = KappaDistribution("chi", (3.0, 0.5))
+
+    def sizes(n, trials, workers):
+        result = run_resonance_sampling(EnsembleParams(2.0, n, 1.0, chi), trials, SEED, workers)
+        rows = [len(batch.a) for _, batch in result.chunks]
+        assert [start for start, _ in result.chunks] == [sum(rows[:i]) for i in range(len(rows))]
+        return rows
+
+    assert sizes(3, 512, 1) == [512]
+    assert sizes(3, 2048, 8) == [256] * 8
+    assert sizes(3, 2100, 1) == [1024, 1024, 52]
+    assert sizes(32, 300, 1) == [256, 44]
+    assert experiments._chunk_bounds(10, 20, 4, 3) == [(10, 13), (13, 16), (16, 19), (19, 20)]
+    assert experiments._chunk_bounds(0, 5000, 1, 128)[0] == (0, experiments.MIN_TRIAL_CHUNK)
+    assert experiments._chunk_bounds(0, 0, 1, 3) == []
