@@ -56,7 +56,6 @@ from .jacobi import (
 from .spectra import (
     EIGENVALUE,
     RESONANCE,
-    STACK_BUDGET,
     ResolvedRows,
     companion_roots,
     linearization_zeros,
@@ -71,6 +70,10 @@ KAPPA_IDENTITY_TOL = 1e-9
 MAX_FAILURE_RATE = 1e-3
 TRIAL_CHUNK = 1024
 MIN_TRIAL_CHUNK = 256
+# entries of one chunk's stacked (2n, 2n) linearizations, 512 KB of float64:
+# at n = 8, 1024-trial chunks (2 MB stacks) ran 8% slower than 256-trial ones
+# (in-process A/B, 40 rounds, 2-core x86-64 host, OpenBLAS SkylakeX kernel)
+CHUNK_BUDGET = 1 << 16
 MC_CHUNK = 1 << 15
 QUAD_NODES = 200
 FINE_GRID = 768
@@ -126,13 +129,13 @@ def _chunk_bounds(start: int, stop: int, workers: int, n: int) -> list[tuple[int
     """The (lo, hi) trial ranges of a stacked driver over trials start..stop - 1.
 
     A range holds ceil(trials / workers) trials, so each worker runs one
-    stacked pass, but at most TRIAL_CHUNK; for large n the cap falls so
-    that a range's (2n, 2n) linearizations hold about STACK_BUDGET
-    entries, though never below MIN_TRIAL_CHUNK trials.  Every row
-    depends on its own substream alone, so the ranges never change a
-    result.
+    stacked pass, but at most TRIAL_CHUNK; as n grows the cap falls so
+    that a range's (2n, 2n) linearizations hold about CHUNK_BUDGET
+    entries, though never below MIN_TRIAL_CHUNK trials (from n = 8 on).
+    Every row depends on its own substream alone, so the ranges never
+    change a result.
     """
-    limit = min(TRIAL_CHUNK, max(MIN_TRIAL_CHUNK, STACK_BUDGET // (2 * n) ** 2))
+    limit = min(TRIAL_CHUNK, max(MIN_TRIAL_CHUNK, CHUNK_BUDGET // (2 * n) ** 2))
     step = max(1, min(-(-(stop - start) // max(workers, 1)), limit))
     return [(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
 

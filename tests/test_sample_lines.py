@@ -273,5 +273,7 @@ def test_one_stacked_pass_per_worker_within_the_per_n_cap(monkeypatch):
     assert sizes(3, 2100, 1) == [1024, 1024, 52]
     assert sizes(32, 300, 1) == [256, 44]
     assert experiments._chunk_bounds(10, 20, 4, 3) == [(10, 13), (13, 16), (16, 19), (19, 20)]
-    assert experiments._chunk_bounds(0, 5000, 1, 128)[0] == (0, experiments.MIN_TRIAL_CHUNK)
+    assert [hi - lo for lo, hi in experiments._chunk_bounds(0, 5000, 1, 5)][:2] == [655, 655]
+    for n in (8, 128):
+        assert experiments._chunk_bounds(0, 5000, 1, n)[0] == (0, experiments.MIN_TRIAL_CHUNK)
     assert experiments._chunk_bounds(0, 0, 1, 3) == []
