@@ -26,18 +26,10 @@ import sys
 
 import numpy as np
 
+from . import experiments
 from .density import log_density
-from .ensembles import EnsembleParams, KappaDistribution
-from .experiments import (
-    density_mc_compare_n1,
-    density_normalization_n1,
-    identity_suite,
-    jacobian_suite,
-    membership_suite,
-    roundtrip_suite,
-    run_resonance_sampling,
-)
-from .geronimo_case import lstar_rows
+from .ensembles import DEFAULT_KAPPA, EnsembleParams, KappaDistribution
+from .geronimo_case import InversionError, lstar_rows
 from .identities import MAX_TOTAL_JACOBIAN_N
 from .jacobi import JacobiCoefficients, perturbation_order
 from .spectra import (
@@ -54,6 +46,18 @@ from .spectra import (
 
 DEFAULT_SEED = 1234
 SEED_ENV_VAR = "OPENRMT_SEED"
+
+# verify suite -> (its report function in the experiments module, the largest
+# --max-n it runs or None, whether it samples the model and so reads --gamma,
+# --kappa and --workers).  Experiments functions are looked up on the module
+# at each call, so a wrapper bound over a name there, such as perfbench's
+# tracer, sees the call.
+SUITES = {
+    "identities": ("identity_suite", None, False),
+    "jacobian": ("jacobian_suite", MAX_TOTAL_JACOBIAN_N, False),
+    "roundtrip": ("roundtrip_suite", None, False),
+    "membership": ("membership_suite", None, True),
+}
 
 
 def _default_seed() -> int:
@@ -140,7 +144,7 @@ def cmd_sample(args) -> int:
     kappa = _parse_kappa(args.kappa)
     params = EnsembleParams(args.beta, args.n, args.gamma, kappa)
     try:
-        result = run_resonance_sampling(params, args.trials, args.seed, workers=args.workers)
+        result = experiments.run_resonance_sampling(params, args.trials, args.seed, workers=args.workers)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -213,28 +217,22 @@ def cmd_verify(args) -> int:
     if args.trials < 0:
         _usage(f"--trials must be at least 0, got {args.trials}")
         return 2
-    if args.max_n < 1:
-        _usage(f"--max-n must be at least 1, got {args.max_n}")
+    max_n = args.max_n
+    if max_n is not None and max_n < 1:
+        _usage(f"--max-n must be at least 1, got {max_n}")
         return 2
-    if args.suite == "roundtrip":
-        report = roundtrip_suite(args.trials, args.seed, max_n=args.max_n)
-    elif args.suite == "identities":
-        report = identity_suite(args.trials, args.seed, max_n=args.max_n)
-    elif args.suite == "jacobian":
-        report = jacobian_suite(args.trials, args.seed, max_n=min(args.max_n, MAX_TOTAL_JACOBIAN_N))
-    elif args.suite == "membership":
-        kappa = _parse_kappa(args.kappa)
-        report = membership_suite(
-            args.trials,
-            args.seed,
-            max_n=min(args.max_n, 5),
-            gamma=args.gamma,
-            kappa_dist=kappa,
-            workers=args.workers,
-        )
-    else:  # pragma: no cover - argparse choices guard this
-        _usage(f"unknown suite {args.suite!r}")
-        return 2
+    function, cap, samples = SUITES[args.suite]
+    if cap is not None and max_n is not None and max_n > cap:
+        print(f"warning: verify {args.suite} runs at --max-n {cap} at most, got {max_n}", file=sys.stderr)
+        max_n = cap
+    options = {} if max_n is None else {"max_n": max_n}
+    if samples:
+        options.update(gamma=args.gamma, kappa_dist=_parse_kappa(args.kappa), workers=args.workers)
+    try:
+        report = getattr(experiments, function)(args.trials, args.seed, **options)
+    except (InversionError, RootFindingError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return _write_report(report, args.out)
 
 
@@ -251,15 +249,12 @@ def _config_from_points(doc):
 def cmd_density(args) -> int:
     kappa = _parse_kappa(args.kappa)
     if args.mode == "normalize":
-        report = density_normalization_n1(
+        report = experiments.density_normalization_n1(
             args.beta, gamma=args.gamma, kappa_dist=kappa, radius=args.radius
         )
         return _write_report(report, args.out)
     if args.mode == "mc-compare":
-        if args.trials < 100_000:
-            _usage("mc-compare needs at least 100000 trials for stable bins")
-            return 2
-        report = density_mc_compare_n1(
+        report = experiments.density_mc_compare_n1(
             args.beta,
             args.gamma,
             kappa,
@@ -308,7 +303,7 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--kappa", default="chi:3:0.5", help="point:v | uniform:lo:hi | chi:k:scale")
+    p.add_argument("--kappa", default=DEFAULT_KAPPA.spec(), help="point:v | uniform:lo:hi | chi:k:scale")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--csv", default=None, help="also write zeros as CSV (trial,re,im,label)")
     _add_common(p, seed)
@@ -322,11 +317,11 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="run one verification suite")
-    p.add_argument("suite", choices=["identities", "jacobian", "roundtrip", "membership"])
+    p.add_argument("suite", choices=SUITES)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
+    p.add_argument("--max-n", type=int, dest="max_n", help="default: the suite's own")
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--kappa", default="chi:3:0.5")
+    p.add_argument("--kappa", default=DEFAULT_KAPPA.spec())
     _add_common(p, seed)
     p.set_defaults(func=cmd_verify)
 
@@ -334,10 +329,10 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["eval", "mc-compare", "normalize"])
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--kappa", default="chi:3:0.5")
+    p.add_argument("--kappa", default=DEFAULT_KAPPA.spec())
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--bins", type=int, default=15)
-    p.add_argument("--radius", type=float, default=6.0)
+    p.add_argument("--radius", type=float, default=experiments.DEFAULT_RADIUS)
     p.add_argument("--input", default="-", help="JSON configuration points for eval mode")
     _add_common(p, seed)
     p.set_defaults(func=cmd_density)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import EnsembleParams
-from .spectra import SpectrumConfiguration, _row_blocks, is_in_S
+from .spectra import SpectrumConfiguration, is_in_S
 
 SINGULAR_TOL = 1e-14
 
@@ -129,9 +129,9 @@ def log_density_batch(reals: np.ndarray, pairs: np.ndarray, params: EnsemblePara
     conjugate pairs pairs[i], conj(pairs[i]).  The count L + 2M picks the
     law: 2n points carry the kappa block, with kappa^2 = 1 - prod z_j and
     -inf where that square is nonpositive or F vanishes there; 2n - 1
-    points are the kappa = 1 law.  Rows are evaluated column by column in
-    the row blocks of the root solver, so each value depends on its own
-    row only.  Membership, the singular set z^2 = 1 and the unit circle
+    points are the kappa = 1 law.  Every operation is elementwise in the
+    row, evaluated column by column, so each value depends on its own row
+    only.  Membership, the singular set z^2 = 1 and the unit circle
     are left to the callers (see :func:`log_density`).
     """
     reals = np.asarray(reals, dtype=float)
@@ -140,10 +140,7 @@ def log_density_batch(reals: np.ndarray, pairs: np.ndarray, params: EnsemblePara
     random_kappa = _random_kappa(count, params)
     consts = normalization_constants(params)
     log_d = consts.log_d_even if random_kappa else consts.log_d_odd
-    out = np.empty(len(reals))
-    for block in _row_blocks(len(reals), count):
-        out[block] = _log_density_rows(reals[block], pairs[block], params, random_kappa) - log_d
-    return out
+    return _log_density_rows(reals, pairs, params, random_kappa) - log_d
 
 
 def _random_kappa(count: int, params: EnsembleParams) -> bool:
@@ -163,7 +160,7 @@ def _random_kappa(count: int, params: EnsembleParams) -> bool:
 
 
 def _log_density_rows(r: np.ndarray, w: np.ndarray, params: EnsembleParams, random_kappa: bool):
-    """Unnormalized log density of one row block, in real and pair-member columns.
+    """Unnormalized log density of stacked rows, in real and pair-member columns.
 
     In these coordinates each conjugate pair's own Vandermonde factor is
     2 Im w, its own cross factor |1 - w^2|^{(beta-2)/2} and its two

@@ -239,6 +239,10 @@ class KappaDistribution:
             return np.where(y > 0, (dof - 1.0) * np.log(y) - 0.5 * y * y - log_norm, -np.inf)
 
 
+# the coupling law of every command and suite that is given none
+DEFAULT_KAPPA = KappaDistribution("chi", (3.0, 0.5))
+
+
 @dataclass(frozen=True)
 class EnsembleParams:
     """Parameters of the coupled random operator, for its sampler and its zero density alike."""

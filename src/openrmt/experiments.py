@@ -6,9 +6,10 @@ inputs and must hold to tight tolerances.  Statistical suites compare
 sampled spectra against their predicted laws (KS tests, moment checks,
 and a binned comparison against the closed-form n=1 joint density).
 
-All randomness is derived from per-trial substreams of a single seed, so
-every report is a pure function of (seed, parameters) regardless of the
-worker count used to produce it.  sum_zeros_test and
+All randomness is derived from substreams of a single seed, one per trial
+(density_mc_compare_n1: one per MC_CHUNK samples), so every report is a
+pure function of (seed, parameters) regardless of the worker count used
+to produce it.  sum_zeros_test and
 dense_vs_tridiagonal_test use alpha = 0.01 with one logged retry on fresh
 substreams; semicircle_moment_test and density_mc_compare_n1 never retry.
 """
@@ -27,6 +28,7 @@ import numpy as np
 
 from .density import _real_products, log_density_batch
 from .ensembles import (
+    DEFAULT_KAPPA,
     EnsembleParams,
     KappaDistribution,
     RandomStream,
@@ -38,6 +40,7 @@ from .ensembles import (
 )
 from .geronimo_case import _forward_steps, gc_inverse_blocks, lstar_blocks, lstar_rows
 from .identities import (
+    MAX_TOTAL_JACOBIAN_N,
     TOL_IDENTITY,
     TOL_IDENTITY_V,
     TOL_IDENTITY_V_IMAG,
@@ -443,7 +446,7 @@ def membership_suite(
     betas: tuple[float, ...] = (1.0, 2.0, 4.0),
     max_n: int = 5,
     gamma: float = 1.0,
-    kappa_dist: KappaDistribution | None = None,
+    kappa_dist: KappaDistribution = DEFAULT_KAPPA,
     workers: int = 1,
 ) -> ExperimentReport:
     """Admissibility of every sampled configuration, across beta values.
@@ -452,9 +455,8 @@ def membership_suite(
     1..max_n per trial.  Checks both the membership verdict and the
     coupling identity kappa^2 = 1 - prod z_j.
     """
-    dist = kappa_dist or KappaDistribution("chi", (3.0, 0.5))
     chunk_args = [
-        (tuple(betas), max_n, gamma, dist, seed, lo, hi)
+        (tuple(betas), max_n, gamma, kappa_dist, seed, lo, hi)
         for lo, hi in _chunk_bounds(0, trials, workers, max_n)
     ]
     rows = [r for block in _chunked(_membership_chunk, chunk_args, workers) for r in block]
@@ -469,7 +471,7 @@ def membership_suite(
             "betas": list(betas),
             "max_n": max_n,
             "gamma": gamma,
-            "kappa": dist.spec(),
+            "kappa": kappa_dist.spec(),
         },
         statistics={
             "in_S_count": in_s,
@@ -558,7 +560,7 @@ def identity_suite(trials: int, seed: int, max_n: int = 8) -> ExperimentReport:
     )
 
 
-def jacobian_suite(trials: int, seed: int, max_n: int = 5) -> ExperimentReport:
+def jacobian_suite(trials: int, seed: int, max_n: int = MAX_TOTAL_JACOBIAN_N) -> ExperimentReport:
     """Complex-step step and total Jacobian determinants vs formulas."""
     worst = {"jacobian_odd_step": 0.0, "jacobian_even_step": 0.0, "jacobian_total": 0.0}
     for _, a, b in _draw_trials(seed, trials, max_n, avoid_unit_last_a=False).values():
@@ -837,7 +839,7 @@ def _check_radius(radius: float) -> None:
 def density_normalization_n1(
     beta: float,
     gamma: float = 1.0,
-    kappa_dist: KappaDistribution | None = None,
+    kappa_dist: KappaDistribution = DEFAULT_KAPPA,
     radius: float = DEFAULT_RADIUS,
 ) -> ExperimentReport:
     """Quadrature of the closed-form two-point density over its support.
@@ -848,8 +850,7 @@ def density_normalization_n1(
     estimated by enlarging the domain and must be negligible.
     """
     _check_radius(radius)
-    dist = kappa_dist or KappaDistribution("chi", (3.0, 0.5))
-    params = EnsembleParams(beta, 1, gamma, dist)
+    params = EnsembleParams(beta, 1, gamma, kappa_dist)
     pieces = _quadrature_masses(_rects(radius) + _tail_pieces(radius), params)
     masses = dict(zip(REGIONS, pieces))
     total = sum(masses.values())
@@ -860,7 +861,7 @@ def density_normalization_n1(
         name="density_normalization",
         trials=0,
         seed=0,
-        params={"beta": beta, "gamma": gamma, "kappa": dist.spec(), "n": 1},
+        params={"beta": beta, "gamma": gamma, "kappa": kappa_dist.spec(), "n": 1},
         statistics=stats,
         verdicts={"total_is_one": abs(total - 1.0) < 0.01, "tail_negligible": tail < TAIL_LIMIT},
     )

@@ -14,7 +14,6 @@ the polynomial route.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +41,9 @@ class JacobiCoefficients:
             raise ValueError("a and b must have equal length")
         if len(self.a) == 0:
             raise ValueError("need at least one coefficient pair")
-        for j, x in enumerate(self.a):
-            if not 0 < x < math.inf:
-                raise ValueError(f"a[{j}] = {x} must be {'positive' if x <= 0 else 'finite'}")
-        for j, x in enumerate(self.b):
-            if not -math.inf < x < math.inf:
-                raise ValueError(f"b[{j}] = {x} must be finite")
+        failures = coefficient_failures(np.array([self.a], dtype=float), np.array([self.b], dtype=float))
+        if failures:
+            raise failures[0]
 
     @property
     def n(self) -> int:

@@ -425,8 +425,33 @@ def test_verify_jacobian_clamps_max_n_to_the_total_jacobian_cap(capsys):
     for max_n, want in ((3, 3), (8, 8), (12, MAX_TOTAL_JACOBIAN_N)):
         argv = ["verify", "jacobian", "--trials", "60", "--max-n", str(max_n), "--seed", SEED]
         assert cli.main(argv) == 0
-        doc = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr()
+        doc = json.loads(out.out)
         assert doc["params"] == {"max_n": want} and doc["passed"] is True
+    assert out.err == f"warning: verify jacobian runs at --max-n {MAX_TOTAL_JACOBIAN_N} at most, got 12\n"
+
+
+@pytest.mark.parametrize("suite", list(cli.SUITES))
+def test_every_suite_in_the_table_runs_at_the_given_size(capsys, suite):
+    assert cli.main(["verify", suite, "--trials", "20", "--max-n", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["name"] in (suite, suite + "s")  # the Jacobian report keeps its plural name
+    assert doc["params"]["max_n"] == 3
+
+
+def test_verify_membership_runs_the_max_n_it_is_given(capsys):
+    assert cli.main(["verify", "membership", "--max-n", "8", "--trials", "200", "--seed", "1234"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"]["max_n"] == 8
+    assert doc["statistics"]["in_S_count"] == 200 and doc["passed"] is True
+
+
+def test_verify_without_max_n_runs_each_suite_default(capsys):
+    defaults = {"roundtrip": 8, "identities": 8, "jacobian": MAX_TOTAL_JACOBIAN_N, "membership": 5}
+    for suite, want in defaults.items():
+        assert cli.main(["verify", suite, "--trials", "4"]) == 0
+        out = capsys.readouterr()
+        assert json.loads(out.out)["params"]["max_n"] == want and out.err == ""
 
 
 # sha256 over the draw-only fields of `sample --n 3 --trials 300 --seed 7`:
