@@ -336,10 +336,11 @@ def _draw_trials(params: EnsembleParams, gens: list, kappa: KappaDistribution | 
     The normals are standard ones, scaled on the stacked rows as
     ``normal(0, sd)`` scales each: 0.0 + sd * z.  The gammas go one
     scalar-shape call each (which consumes the stream exactly as one
-    array-shape call does, without its per-call argument checks), and a
-    chi kappa's gamma variate is the last entry of the same per-trial
-    list.  The chi transform of the gammas runs once on the stacked rows.
-    Returns s (T, n), t (T, n - 1) and the raw kappa variates (T,).
+    array-shape call does, without its per-call argument checks) onto
+    one flat list for all trials, converted once; kappa's raw variate is
+    the last column of each trial's run.  The chi transform of the gammas
+    runs once on the stacked rows.  Returns s (T, n), t (T, n - 1) and
+    the raw kappa variates (T,).
     """
     beta, n = params.beta, params.n
     shapes = (0.5 * (beta * (n - np.arange(1, n)))).tolist()
@@ -347,16 +348,16 @@ def _draw_trials(params: EnsembleParams, gens: list, kappa: KappaDistribution | 
     if kind == "chi":
         shapes.append(0.5 * kappa.params[0])
     s = np.empty((len(gens), n))
-    g = np.empty((len(gens), len(shapes)))
-    raw = g[:, -1] if kind == "chi" else np.empty(len(gens))
-    for i, (row_s, row_g, gen) in enumerate(zip(s, g, gens)):
+    flat: list[float] = []
+    for row_s, gen in zip(s, gens):
         gen.standard_normal(out=row_s)
-        draw_gamma = gen.standard_gamma
-        row_g[:] = [draw_gamma(shape) for shape in shapes]
+        flat += map(gen.standard_gamma, shapes)
         if kind == "uniform":
-            raw[i] = _kappa_raw(kappa, gen)
+            flat.append(_kappa_raw(kappa, gen))
+    g = np.array(flat, dtype=float).reshape(len(gens), n - 1 + (kind != "point"))
     s *= math.sqrt(2.0 / (beta * n))
     s += 0.0
+    raw = g[:, -1] if kind != "point" else np.empty(len(gens))
     return s, np.sqrt(2.0 * g[:, : n - 1]) / math.sqrt(beta * n), raw
 
 

@@ -288,7 +288,7 @@ def _float_texts(values: np.ndarray) -> np.ndarray:
 
 
 def _record_template(n: int, zeros: int) -> str:
-    """%-template of one good record line with zeros kept points: keys sorted, cells in order."""
+    """%-template of one good record line, newline-ended, with zeros kept points: keys sorted."""
 
     def seq(count: int, item: str = "%s") -> str:
         return "[" + ", ".join([item] * count) + "]"
@@ -296,55 +296,73 @@ def _record_template(n: int, zeros: int) -> str:
     return (
         f'{{"a": {seq(n)}, "b": {seq(n)}, "clause": %s, "in_S": %s, "kappa": %s, '
         f'"kappa_check_residual": %s, "s": {seq(n)}, "t": {seq(n - 1)}, "trial": %s, '
-        f'"zeros": {seq(zeros, "[%s, %s, %s]")}}}'
+        f'"zeros": {seq(zeros, "[%s, %s, %s]")}}}\n'
     )
 
 
-def _record_lines(start: int, batch: _TrialBatch) -> list[str]:
-    """The JSON line of every good row of one chunk, in trial order.
+_LABEL_TEXT = np.array([json.dumps(EIGENVALUE), json.dumps(RESONANCE)], dtype=object)
+_LABELS = np.array([EIGENVALUE, RESONANCE], dtype=object)
 
-    Byte for byte what the sorted-key JSON encoder writes for
-    _record_dicts(start, batch), non-finite floats as null, rendered from
-    the arrays with every float of the chunk formatted in one pass.
+
+def _chunk_text(start: int, batch: _TrialBatch, csv: bool = False) -> tuple[str, str]:
+    """The JSON lines of the good rows of one chunk and, with csv, the CSV rows of their zeros.
+
+    Both texts are in trial order, one newline-ended line per record or
+    zero, each rendered by one %-format.  The JSON lines are byte for
+    byte what the sorted-key encoder writes for _record_dicts(start,
+    batch), non-finite floats as null; the CSV rows are what csv.writer
+    writes for the trial, repr(re), repr(im) and label of each zero of
+    those records.  Every float of the chunk is formatted once, by one
+    _float_texts pass, into one cell table filled by column slices.
     """
     rows = batch.rows
     count, n = batch.a.shape
     points = rows.points
-    xy = np.empty((count, 2 * points.shape[1]))
-    xy[:, 0::2], xy[:, 1::2] = points.real, points.imag
+    zeros = points.shape[1]
     floats = np.concatenate(
-        [batch.a, batch.b, batch.kappa[:, None], batch.residual[:, None], batch.s, batch.t, xy], axis=1
+        [batch.a, batch.b, batch.kappa[:, None], batch.residual[:, None], batch.s, batch.t,
+         points.real, points.imag],
+        axis=1,
     )
     text = _float_texts(floats.ravel()).reshape(count, -1)
-    lead = floats.shape[1] - xy.shape[1]  # a, b, kappa, residual, s, t
-    zeros = np.empty((count, points.shape[1], 3), dtype=object)
-    zeros[:, :, 0], zeros[:, :, 1] = text[:, lead::2], text[:, lead + 1 :: 2]
-    zeros[:, :, 2] = np.where(rows.eigenvalue, json.dumps(EIGENVALUE), json.dumps(RESONANCE))
-    clause_text = {clause: json.dumps(clause) for clause in set(rows.clause)}
-    verdicts = [[clause_text[clause], "true" if clause is None else "false"] for clause in rows.clause]
-    trials = [[str(trial)] for trial in range(start, start + count)]
-    cells = np.concatenate(
-        [
-            text[:, : 2 * n],
-            np.array(verdicts, dtype=object),
-            text[:, 2 * n : lead],
-            np.array(trials, dtype=object),
-            zeros.reshape(count, -1),
-        ],
-        axis=1,
-    ).tolist()
-    width = lead + 3  # cells before the zeros: the floats, clause, in_S and trial
-    kept = (~np.isnan(points)).sum(axis=1).tolist()
-    templates: dict[int, str] = {}
-    lines = []
-    for i, row in enumerate(cells):
-        if i in batch.failures:
-            continue
-        k = kept[i]
-        if k not in templates:
-            templates[k] = _record_template(n, k)
-        lines.append(templates[k] % tuple(row[: width + 3 * k]))
-    return lines
+    lead = 4 * n + 1  # a, b, kappa, residual, s, t
+    width = lead + 3  # and the clause, in_S and trial
+    verdict = {
+        clause: (json.dumps(clause), "true" if clause is None else "false") for clause in set(rows.clause)
+    }
+    label = (~rows.eigenvalue).view(np.int8)  # 0 eigenvalue, 1 resonance
+    table = np.empty((count, width + 3 * zeros), dtype=object)
+    table[:, : 2 * n] = text[:, : 2 * n]
+    table[:, 2 * n : 2 * n + 2] = np.array([verdict[clause] for clause in rows.clause], dtype=object)
+    table[:, 2 * n + 2 : lead + 2] = text[:, 2 * n : lead]
+    table[:, lead + 2] = list(map(str, range(start, start + count)))
+    table[:, width::3] = text[:, lead : lead + zeros]
+    table[:, width + 1 :: 3] = text[:, lead + zeros :]
+    table[:, width + 2 :: 3] = _LABEL_TEXT[label]
+    good = np.ones(count, dtype=bool)
+    good[list(batch.failures)] = False
+    kept = ~np.isnan(points) & good[:, None]  # kept points are a prefix of each row
+    counts = kept.sum(axis=1)
+    cells = (np.arange(table.shape[1]) < width + 3 * counts[:, None]) & good[:, None]
+    templates = {k: _record_template(n, k) for k in set(counts[good].tolist())}
+    json_text = "".join([templates[k] for k in counts[good].tolist()]) % tuple(table[cells].tolist())
+    if not csv:
+        return json_text, ""
+    parts = np.empty((count, zeros, 4), dtype=object)
+    parts[:, :, 0] = table[:, lead + 2, None]
+    parts[:, :, 1] = table[:, width::3]
+    parts[:, :, 2] = table[:, width + 1 :: 3]
+    parts[:, :, 3] = _LABELS[label]
+    infinite = kept & ~np.isfinite(points)  # null in JSON, repr in CSV
+    for column, values in ((1, points.real), (2, points.imag)):
+        parts[infinite, column] = [repr(x) for x in values[infinite].tolist()]
+    chosen = parts[kept].ravel().tolist()
+    return json_text, "%s,%s,%s,%s\r\n" * (len(chosen) // 4) % tuple(chosen)
+
+
+def _record_lines(start: int, batch: _TrialBatch) -> list[str]:
+    """The JSON line of every good row of one chunk, in trial order (see :func:`_chunk_text`)."""
+    return _chunk_text(start, batch)[0].split("\n")[:-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,9 +372,10 @@ class SamplingResult:
     Built from the chunks, SamplingResult(chunks), not from record lists.
     records holds one dict per good trial and failures one error record
     per failed trial, both in trial order and built on first access;
-    json_lines renders the same records as JSON text straight from the
-    chunk arrays.  Two results are equal when their records and failures
-    are.
+    they are the reference the renderers are tested against.  texts and
+    json_lines render the same records as JSON text, and texts also their
+    zeros as CSV, straight from the chunk arrays.  Two results are equal
+    when their records and failures are.
     """
 
     chunks: list
@@ -395,10 +414,19 @@ class SamplingResult:
             if clause is not None and i not in batch.failures
         )
 
+    def texts(self, csv: bool = False) -> Iterator[tuple[str, str]]:
+        """The sample output, chunk by chunk, as (JSON lines, CSV rows) texts.
+
+        One pair per chunk (see :func:`_chunk_text`; the CSV rows are ""
+        without csv), then the failure records' JSON lines and "".
+        """
+        for start, batch in self.chunks:
+            yield _chunk_text(start, batch, csv)
+        yield "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in self.failures), ""
+
     def json_lines(self) -> list[str]:
         """Every record as one sorted-key JSON line: the good records by trial, then the failures."""
-        lines = [line for start, batch in self.chunks for line in _record_lines(start, batch)]
-        return lines + [json.dumps(rec, sort_keys=True) for rec in self.failures]
+        return "".join(text for text, _ in self.texts()).split("\n")[:-1]
 
 
 def run_resonance_sampling(

@@ -287,6 +287,17 @@ def test_in_process_calls_honour_a_changed_seed_variable(monkeypatch, capsys):
     assert seeds == [11, 12, 11]
 
 
+def test_a_handler_bound_after_the_parser_is_cached_runs(monkeypatch, capsys):
+    """main looks its handler up by name, so a wrapper bound over cmd_sample later sees the call."""
+    argv = ["sample", "--trials", "0"]
+    assert cli.main(argv) == 0  # builds and caches the parser
+    calls = []
+    monkeypatch.setattr(cli, "cmd_sample", lambda args: calls.append(args.trials) or 7)
+    assert cli.main(argv) == 7
+    assert calls == [0]
+    assert capsys.readouterr().out == ""
+
+
 def test_dump_writes_non_finite_residuals_as_null():
     rec = {"trial": 3, "in_S": False, "clause": "count", "kappa_check_residual": math.inf}
     assert cli._dump(rec) == '{"clause": "count", "in_S": false, "kappa_check_residual": null, "trial": 3}'

@@ -17,7 +17,6 @@ from openrmt import (
     log_density_batch,
     normalization_constants,
 )
-from openrmt import spectra
 from openrmt.experiments import _trial_batch
 
 CHI = KappaDistribution("chi", (3.0, 0.5))
@@ -266,17 +265,13 @@ def test_batch_density_matches_all_pairs_oracle(beta, spec):
 
 
 @pytest.mark.parametrize("spec", ["chi:3:0.5", "point:1"])
-def test_batch_rows_equal_one_row_calls_and_split_blocks(monkeypatch, spec):
-    """A row's value depends on that row only: not on the stack, not on the row blocks."""
+def test_batch_rows_equal_one_row_calls(spec):
+    """A row's value depends on that row only, not on the stack."""
     dist = KappaDistribution.from_spec(spec)
     params = EnsembleParams(1.0, 3, 1.0, dist)
     groups = _sampled_groups(1.0, 3, dist, trials=200)
     whole = {key: log_density_batch(reals, pairs, params) for key, (reals, pairs, _) in groups.items()}
-    count = 6 if dist.has_density else 5
-    monkeypatch.setattr(spectra, "STACK_BUDGET", 7 * count * count)
     for key, (reals, pairs, configs) in groups.items():
-        assert len(spectra._row_blocks(len(reals), count)) == -(-len(reals) // 7)
-        assert np.array_equal(log_density_batch(reals, pairs, params), whole[key])
         for i, config in enumerate(configs):
             one = log_density_batch(reals[i : i + 1], pairs[i : i + 1], params)
             assert one[0] == whole[key][i]

@@ -1,11 +1,16 @@
-"""The `sample` line writer against the record dicts and the sorted-key encoder.
+"""The `sample` line and CSV writers against the record dicts.
 
-SamplingResult.json_lines renders records straight from the chunk
-arrays, formatting each distinct float once.  The oracle is the record
-dicts (SamplingResult.records and .failures) encoded one by one with
-cli._dump, which is how every record was written before.
+SamplingResult.json_lines and SamplingResult.write render records
+straight from the chunk arrays, formatting each distinct float once.
+The oracle is the record dicts (SamplingResult.records and .failures):
+encoded one by one with cli._dump for the JSON lines, and put through
+csv.writer one zero at a time for the CSV rows, which is how both were
+written before.
 """
 
+import csv
+import dataclasses
+import io
 import json
 import math
 
@@ -30,6 +35,16 @@ LAWS = ["point:1", "point:1.5", "uniform:0.5:2", "chi:3:0.5"]
 
 def _oracle(result: SamplingResult) -> list[str]:
     return [cli._dump(rec) for rec in result.records + result.failures]
+
+
+def _csv_oracle(result: SamplingResult) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["trial", "re", "im", "label"])
+    for rec in result.records:
+        for re_part, im_part, label in rec["zeros"]:
+            writer.writerow([rec["trial"], repr(re_part), repr(im_part), label])
+    return buf.getvalue().encode()
 
 
 @pytest.mark.parametrize("n, trials", [(1, 300), (3, 300), (8, 120), (32, 12)])
@@ -277,3 +292,81 @@ def test_one_stacked_pass_per_worker_within_the_per_n_cap(monkeypatch):
     for n in (8, 128):
         assert experiments._chunk_bounds(0, 5000, 1, n)[0] == (0, experiments.MIN_TRIAL_CHUNK)
     assert experiments._chunk_bounds(0, 0, 1, 3) == []
+
+
+@pytest.mark.parametrize(
+    "beta, n, gamma, law, trials",
+    [
+        (2.0, 1, 1.0, "chi:3:0.5", 300),  # no t
+        (2.0, 3, 1.0, "chi:3:0.5", 300),
+        (4.0, 3, 1.0, "point:1", 300),  # 2n - 1 zeros
+        (1.0, 8, 3.0, "uniform:0.5:2", 560),  # rows not in S
+        (2.0, 3, 1.0, "chi:3:0.5", 0),
+    ],
+)
+def test_csv_matches_the_csv_writer_over_the_records(beta, n, gamma, law, trials, capsys, tmp_path):
+    csv_path = tmp_path / "zeros.csv"
+    argv = ["sample", "--beta", str(beta), "--n", str(n), "--gamma", str(gamma), "--kappa", law,
+            "--trials", str(trials), "--seed", str(SEED), "--csv", str(csv_path)]
+    assert cli.main(argv) == 0
+    params = EnsembleParams(beta, n, gamma, KappaDistribution.from_spec(law))
+    result = run_resonance_sampling(params, trials, SEED)
+    assert csv_path.read_bytes() == _csv_oracle(result)
+    assert capsys.readouterr().out.splitlines() == _oracle(result)
+    if gamma == 3.0:
+        assert result.rejections()
+
+
+def test_csv_skips_failures_mid_chunk(monkeypatch, tmp_path):
+    real = experiments.resolve_rows
+
+    def rows_fail(roots, k):
+        rows = real(roots, k)
+        for i in (1, 3):
+            if i < len(rows.points):
+                rows.failures[np.intp(i)] = ConjugationError("unpaired")
+        return rows
+
+    monkeypatch.setattr(experiments, "resolve_rows", rows_fail)
+    monkeypatch.setattr(experiments, "MAX_FAILURE_RATE", 1.0)
+    monkeypatch.setattr(experiments, "TRIAL_CHUNK", 5)
+    csv_path = tmp_path / "zeros.csv"
+    argv = ["sample", "--n", "2", "--trials", "12", "--seed", str(SEED), "--csv", str(csv_path),
+            "--out", str(tmp_path / "records.jsonl")]
+    assert cli.main(argv) == 0
+    params = EnsembleParams(2.0, 2, 1.0, KappaDistribution("chi", (3.0, 0.5)))
+    result = run_resonance_sampling(params, 12, SEED)
+    assert result.failed == 5
+    assert csv_path.read_bytes() == _csv_oracle(result)
+
+
+def test_csv_writes_an_infinite_zero_as_repr():
+    batch = _hand_batch()
+    points = batch.rows.points.copy()
+    points[0, 0], points[1, 3] = complex(-math.inf, 0.0), complex(2.0, math.inf)
+    batch = dataclasses.replace(batch, rows=dataclasses.replace(batch.rows, points=points))
+    result = SamplingResult([(40, batch)])
+    (lines, rows), _ = result.texts(csv=True)
+    assert ("trial,re,im,label\r\n" + rows).encode() == _csv_oracle(result)
+    assert "40,-inf,0.0,eigenvalue\r\n" in rows
+    assert lines.splitlines() == _oracle(result)
+
+
+def test_sample_csv_never_builds_record_dicts(monkeypatch, tmp_path):
+    def no_dicts(start, batch):
+        raise AssertionError("the CSV rows come from the chunk arrays")
+
+    monkeypatch.setattr(experiments, "_record_dicts", no_dicts)
+    argv = ["sample", "--n", "3", "--trials", "40", "--seed", str(SEED), "--csv", str(tmp_path / "z.csv"),
+            "--out", str(tmp_path / "records.jsonl")]
+    assert cli.main(argv) == 0
+    assert len((tmp_path / "z.csv").read_text().splitlines()) == 1 + 40 * 6
+
+
+def test_csv_opens_after_the_lines_are_written(tmp_path):
+    """--csv may name the --out file: the CSV then replaces the lines, as a second write would."""
+    path = tmp_path / "both.txt"
+    argv = ["sample", "--n", "1", "--trials", "30", "--seed", str(SEED), "--out", str(path), "--csv", str(path)]
+    assert cli.main(argv) == 0
+    params = EnsembleParams(2.0, 1, 1.0, KappaDistribution("chi", (3.0, 0.5)))
+    assert path.read_bytes() == _csv_oracle(run_resonance_sampling(params, 30, SEED))
