@@ -1,6 +1,6 @@
 """The `sample` line and CSV writers against the record dicts.
 
-SamplingResult.json_lines and SamplingResult.write render records
+SamplingResult.json_lines and SamplingResult.texts render records
 straight from the chunk arrays, formatting each distinct float once.
 The oracle is the record dicts (SamplingResult.records and .failures):
 encoded one by one with cli._dump for the JSON lines, and put through
