@@ -344,8 +344,9 @@ def _chunk_text(start: int, batch: _TrialBatch, csv: bool = False) -> tuple[str,
     kept = ~np.isnan(points) & good[:, None]  # kept points are a prefix of each row
     counts = kept.sum(axis=1)
     cells = (np.arange(table.shape[1]) < width + 3 * counts[:, None]) & good[:, None]
-    templates = {k: _record_template(n, k) for k in set(counts[good].tolist())}
-    json_text = "".join([templates[k] for k in counts[good].tolist()]) % tuple(table[cells].tolist())
+    ks = counts[good].tolist()
+    templates = {k: _record_template(n, k) for k in set(ks)}
+    json_text = "".join([templates[k] for k in ks]) % tuple(table[cells].tolist())
     if not csv:
         return json_text, ""
     parts = np.empty((count, zeros, 4), dtype=object)
