@@ -47,10 +47,10 @@ DEFAULT_SEED = 1234
 SEED_ENV_VAR = "OPENRMT_SEED"
 
 # verify suite -> (its report function in the experiments module, the largest
-# --max-n it runs or None, whether it samples the model and so reads --gamma,
-# --kappa and --workers).  Experiments functions are looked up on the module
-# at each call, so a wrapper bound over a name there, such as perfbench's
-# tracer, sees the call.
+# --max-n it runs or None, whether it samples the model and so takes --gamma
+# and --kappa, and reads --workers).  Experiments functions are looked up on
+# the module at each call, so a wrapper bound over a name there, such as
+# perfbench's tracer, sees the call.
 SUITES = {
     "identities": ("identity_suite", None, False),
     "jacobian": ("jacobian_suite", MAX_TOTAL_JACOBIAN_N, False),
@@ -66,7 +66,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _json_safe(obj):
@@ -286,9 +286,17 @@ def cmd_density(args) -> int:
     return 0
 
 
-def _add_common(parser, seed: int):
-    parser.add_argument("--seed", type=int, default=seed, help="deterministic master seed")
-    parser.add_argument("--workers", type=int, default=1, help="process count (same output)")
+def worker_count(text: str) -> int:
+    if (count := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
+def _add_common(parser, seed: int | None, workers_help: str = "process count (same output)"):
+    """--out, and --seed and --workers unless seed is None: the command draws nothing."""
+    if seed is not None:
+        parser.add_argument("--seed", type=int, default=seed, help="deterministic master seed")
+        parser.add_argument("--workers", type=worker_count, default=1, help=workers_help)
     parser.add_argument("--out", default="-", help="output path, - for stdout")
 
 
@@ -312,37 +320,44 @@ def build_parser(seed: int) -> argparse.ArgumentParser:
     p.add_argument("--a", default=None, help="comma separated off-diagonal values")
     p.add_argument("--b", default=None, help="comma separated diagonal values")
     p.add_argument("--input", default=None, help='JSON {"a": [...], "b": [...]}, - for stdin')
-    _add_common(p, seed)
+    _add_common(p, None)
     p.set_defaults(handler="cmd_spectrum")
 
     p = sub.add_parser("verify", help="run one verification suite")
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-n", type=int, dest="max_n", help="default: the suite's own")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--kappa", default=DEFAULT_KAPPA.spec())
-    _add_common(p, seed)
-    p.set_defaults(handler="cmd_verify")
+    suites = p.add_subparsers(dest="suite", required=True)
+    for suite, (_, _, samples) in SUITES.items():
+        p = suites.add_parser(suite)
+        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--max-n", type=int, dest="max_n", help="default: the suite's own")
+        if samples:
+            p.add_argument("--gamma", type=float, default=1.0)
+            p.add_argument("--kappa", default=DEFAULT_KAPPA.spec())
+        _add_common(p, seed, "process count (same output)" if samples else "this suite runs in one process")
+        p.set_defaults(handler="cmd_verify")
 
     p = sub.add_parser("density", help="evaluate or check the two-point density")
-    p.add_argument("mode", choices=["eval", "mc-compare", "normalize"])
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--kappa", default=DEFAULT_KAPPA.spec())
-    p.add_argument("--trials", type=int, default=1_000_000)
-    p.add_argument("--bins", type=int, default=15)
-    p.add_argument("--radius", type=float, default=experiments.DEFAULT_RADIUS)
-    p.add_argument("--input", default="-", help="JSON configuration points for eval mode")
-    _add_common(p, seed)
-    p.set_defaults(handler="cmd_density")
+    modes = p.add_subparsers(dest="mode", required=True)
+    for mode in ("eval", "mc-compare", "normalize"):
+        p = modes.add_parser(mode)
+        p.add_argument("--beta", type=float, default=2.0)
+        p.add_argument("--gamma", type=float, default=1.0)
+        p.add_argument("--kappa", default=DEFAULT_KAPPA.spec())
+        if mode == "eval":
+            p.add_argument("--input", default="-", help="JSON configuration points, - for stdin")
+        else:
+            p.add_argument("--radius", type=float, default=experiments.DEFAULT_RADIUS)
+        if mode == "mc-compare":
+            p.add_argument("--trials", type=int, default=1_000_000)
+            p.add_argument("--bins", type=int, default=15)
+        _add_common(p, seed if mode == "mc-compare" else None)
+        p.set_defaults(handler="cmd_density")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser(_default_seed())
-    args = parser.parse_args(argv)
     try:
+        args = build_parser(_default_seed()).parse_args(argv)
         # looked up by name at each call, so a wrapper bound over a handler
         # here after the parser was cached, such as perfbench's tracer, sees it
         return globals()[args.handler](args)

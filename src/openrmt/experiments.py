@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -117,14 +118,25 @@ class ExperimentReport:
         }
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _chunked(fn: Callable, args_list: list, workers: int) -> Iterator:
-    """Yield fn over the argument list, in order, optionally computed in processes."""
+    """Yield fn over the argument list, in order, optionally computed in processes.
+
+    The pool holds at most one process per chunk and per usable CPU: under
+    fork it starts all of them on the first submit, whatever the request.
+    """
     if workers <= 1 or len(args_list) <= 1:
         yield from map(fn, args_list)
         return
     from concurrent.futures import ProcessPoolExecutor  # only here: loads multiprocessing
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(args_list), _usable_cpus())) as pool:
         yield from pool.map(fn, args_list)
 
 

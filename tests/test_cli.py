@@ -1,9 +1,13 @@
+import argparse
+import concurrent.futures
 import hashlib
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,6 +467,109 @@ def test_verify_without_max_n_runs_each_suite_default(capsys):
         assert cli.main(["verify", suite, "--trials", "4"]) == 0
         out = capsys.readouterr()
         assert json.loads(out.out)["params"]["max_n"] == want and out.err == ""
+
+
+def test_every_parsed_option_is_read_by_its_handler(tmp_path):
+    """Only --workers of the single-pass suites parses and goes unread: the benchmark calls pass it."""
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    points = tmp_path / "points.json"
+    points.write_text('{"points": [[4.0, 0.0], [-2.0, 0.0]]}')
+    smallest_runs = {  # of each command, verify suite and density mode
+        ("sample",): ["--trials", "1"],
+        ("spectrum",): ["--a", "3", "--b", "2"],
+        **{("verify", suite): ["--trials", "1", "--max-n", "1"] for suite in cli.SUITES},
+        ("density", "eval"): ["--input", str(points)],
+        ("density", "mc-compare"): ["--trials", "100000"],
+        ("density", "normalize"): [],
+    }
+    parser = cli.build_parser(cli.DEFAULT_SEED)
+    unread = []
+    for names, options in smallest_runs.items():
+        args = parser.parse_args([*names, *options, "--out", str(tmp_path / "out.json")], namespace=Recorder())
+        handler = getattr(cli, args.handler)
+        reads.clear()
+        assert handler(args) == 0
+        unread += [(*names[1:], dest) for dest in vars(args) if dest not in reads | {"command", "handler"}]
+    assert unread == [("identities", "workers"), ("jacobian", "workers"), ("roundtrip", "workers")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "roundtrip", "--kappa", "lognormal:1:2", "--gamma", "0", "--trials", "2", "--max-n", "2"],
+        ["spectrum", "--a", "1.5", "--b", "0.2", "--seed", "3"],
+        ["spectrum", "--a", "1.5", "--b", "0.2", "--workers", "2"],
+        *(["verify", suite, option, "1"] for suite in ("identities", "jacobian") for option in ("--gamma", "--kappa")),
+        *(["density", "eval", option, "2"] for option in ("--seed", "--workers", "--trials", "--bins", "--radius")),
+        *(["density", "normalize", option, "2"] for option in ("--seed", "--workers", "--trials", "--bins", "--input")),
+        ["density", "mc-compare", "--input", "-"],
+        # options go after the suite or mode name
+        ["verify", "--trials", "2", "roundtrip"],
+        ["density", "--beta", "1", "normalize"],
+    ],
+)
+def test_an_option_the_handler_would_not_read_is_a_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error: " in out.err
+
+
+@pytest.mark.parametrize("argv", [["sample"], ["verify", "membership"], ["verify", "roundtrip"], ["density", "mc-compare"]])
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_workers_below_one_is_a_usage_error(capsys, argv, value):
+    assert cli.main([*argv, "--workers", value]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"argument --workers: must be at least 1, got {value}\n" in out.err
+
+
+def test_the_pool_is_capped_by_the_chunks_and_the_usable_cpus(monkeypatch, capsys):
+    """Under fork the pool starts every process it is asked for, so a huge --workers must not reach it."""
+    sizes = []
+
+    class InProcessPool:  # records the pool size; the real pool is never started here
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, args_list):
+            return map(fn, args_list)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    argv = ["sample", "--trials", "100", "--seed", SEED]
+    assert cli.main([*argv, "--workers", "1"]) == 0
+    one = capsys.readouterr().out
+    for cpus in (3, 10**6):  # 100 trials over 100000 workers make 100 one-trial chunks
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert cli.main([*argv, "--workers", "100000"]) == 0
+        assert capsys.readouterr().out == one
+    assert sizes == [3, 100]
+
+
+def test_a_non_integer_seed_variable_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("OPENRMT_SEED", "abc")
+    assert cli.main(["sample", "--trials", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: OPENRMT_SEED must be an integer, got 'abc'\n")
+
+
+def test_every_benchmark_invocation_parses(monkeypatch):
+    """A parser change must not turn a benchmark workload into calls that all fail."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    worker = importlib.import_module("worker")
+    parser = cli.build_parser(cli.DEFAULT_SEED)
+    for workload in worker.WORKLOADS:
+        args = parser.parse_args(worker.call_argv(workload, 777, 0, "out.json"))
+        assert args.handler in ("cmd_sample", "cmd_verify", "cmd_density") and args.workers == 1
 
 
 # sha256 over the draw-only fields of `sample --n 3 --trials 300 --seed 7`:

@@ -8,16 +8,22 @@ from openrmt import (
     ConjugationError,
     EIGENVALUE,
     RESONANCE,
+    EnsembleParams,
+    KappaDistribution,
+    RandomStream,
     RealPolynomial,
     SpectrumConfiguration,
     canonicalize_conjugates,
     classify,
     is_in_S,
     joukowsky,
+    lstar_rows,
     polynomial_roots,
     resolve,
 )
-from openrmt.spectra import companion_roots, resolve_rows
+from openrmt.ensembles import sample_coupled_trials
+from openrmt.jacobi import coupled_coefficients
+from openrmt.spectra import _residuals_ok, companion_roots, linearization_zeros, resolve_rows
 
 SEED = 161803
 
@@ -94,6 +100,39 @@ def test_roots_recompose_the_polynomial():
     roots = polynomial_roots(RealPolynomial(tuple(coeffs)))
     reconstructed = np.real(np.poly(roots)[::-1])
     assert np.allclose(reconstructed, coeffs, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "n, move, rows",
+    [
+        (3, 1e-6, 600),
+        (8, 1e-4, 600),
+        *(
+            pytest.param(n, 1e-6, 10, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 12: the bound grows with n"))
+            for n in (64, 128)
+        ),
+    ],
+)
+@pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+def test_the_residual_certificate_fails_a_moved_zero(beta, n, move, rows):
+    """The certificate of linearization_zeros catches one zero moved off its place.
+
+    The zero nearest the unit circle of each model row is moved by the
+    relative amount given, on generators 0.. of seed 5.  At n = 3 a move
+    of 1e-6 fails every row; at n = 8 it left 2 of 600 beta = 1 rows
+    certified, so n = 8 is checked at 1e-4.  At n = 64 and 128 the bound,
+    which grows with the largest ladder coefficient, passes every row
+    moved by 1e-6 (ROADMAP item 12).
+    """
+    params = EnsembleParams(beta, n, 1.0, KappaDistribution("chi", (3.0, 0.5)))
+    s, t, kappa = sample_coupled_trials(params, RandomStream(5).generators(0, rows))
+    a, b, failures = coupled_coefficients(s, t, 1.0, kappa)
+    zeros, root_failures = linearization_zeros(a, b)
+    assert not failures and not root_failures
+    lstar = lstar_rows(a, b)
+    nearest = np.argmin(np.abs(np.abs(zeros) - 1.0), axis=1)
+    zeros[np.arange(rows), nearest] *= 1.0 + move
+    assert not _residuals_ok(lstar, zeros).any()
 
 
 def test_canonicalize_snaps_near_real_points():
