@@ -293,7 +293,7 @@ def worker_count(text: str) -> int:
 
 
 def _add_common(parser, seed: int | None, workers_help: str = "process count (same output)"):
-    """--out, and --seed and --workers unless seed is None: the command draws nothing."""
+    """Add --out, and --seed and --workers unless seed is None (a command that draws nothing)."""
     if seed is not None:
         parser.add_argument("--seed", type=int, default=seed, help="deterministic master seed")
         parser.add_argument("--workers", type=worker_count, default=1, help=workers_help)
