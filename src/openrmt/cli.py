@@ -9,8 +9,11 @@ Subcommands:
 All output is deterministic for a fixed seed and parameter set: records
 carry no timestamps, JSON keys are sorted, and trial order is fixed
 regardless of worker count.  The default seed comes from OPENRMT_SEED
-when set.  Exit status: 0 success, 1 failed verification or aborted run,
-2 usage errors.
+when set.  Handlers raise; main alone maps an exception to one "error:"
+line on stderr and an exit status.  Exit status: 0 success; 1 a failed
+verdict or a numerical failure (inversion, root certificate, linear
+solve, too many failed sampling trials); 2 a usage error (a bad option
+or value, a path that cannot be read or written, a closed stdout pipe).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .jacobi import JacobiCoefficients, perturbation_order
 from .spectra import (
     EIGENVALUE,
     ORIGIN_RADIUS,
-    RootFindingError,
     canonicalize_conjugates,
     classify,
     coefficient_zeros,
@@ -80,14 +82,8 @@ def _json_safe(obj):
     return obj
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
-
-
 def _dump(doc) -> str:
-    try:
-        return _ENCODER.encode(doc)
-    except ValueError:  # a non-finite float somewhere: write it as null
-        return _ENCODER.encode(_json_safe(doc))
+    return json.dumps(_json_safe(doc), sort_keys=True, allow_nan=False)
 
 
 @contextlib.contextmanager
@@ -107,23 +103,10 @@ def _read_json(path: str):
         return json.load(fh, parse_int=float)
 
 
-def _usage(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
-
-
-def _write_report(report, path: str) -> int:
-    """Write a report as one JSON line; exit status 0 if it passed, else 1."""
+def _write(doc, path: str) -> None:
+    """Write doc as one JSON line to path ("-" for stdout)."""
     with _open_out(path) as fh:
-        fh.write(_dump(report.to_dict()) + "\n")
-    return 0 if report.passed else 1
-
-
-def _parse_kappa(text: str) -> KappaDistribution:
-    try:
-        return KappaDistribution.from_spec(text)
-    except ValueError as exc:
-        _usage(str(exc))
-        raise SystemExit(2)
+        fh.write(_dump(doc) + "\n")
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -140,13 +123,8 @@ def _is_number_list(values, length: int | None = None) -> bool:
 
 
 def cmd_sample(args) -> int:
-    kappa = _parse_kappa(args.kappa)
-    params = EnsembleParams(args.beta, args.n, args.gamma, kappa)
-    try:
-        result = experiments.run_resonance_sampling(params, args.trials, args.seed, workers=args.workers)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    params = EnsembleParams(args.beta, args.n, args.gamma, KappaDistribution.from_spec(args.kappa))
+    result = experiments.run_resonance_sampling(params, args.trials, args.seed, workers=args.workers)
     csv_texts = []  # the CSV file is opened after --out is closed: the two may be one file
     with _open_out(args.out) as fh:
         for json_text, csv_text in result.texts(csv=bool(args.csv)):
@@ -176,18 +154,9 @@ def cmd_spectrum(args) -> int:
     elif args.a and args.b:
         a, b = _parse_floats(args.a), _parse_floats(args.b)
     else:
-        _usage("spectrum needs either --input or both --a and --b")
-        return 2
-    try:
-        coeffs = JacobiCoefficients(a, b)
-    except ValueError as exc:
-        _usage(str(exc))
-        return 2
-    try:
-        zeros = coefficient_zeros(coeffs)
-    except (RootFindingError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("spectrum needs either --input or both --a and --b")
+    coeffs = JacobiCoefficients(a, b)
+    zeros = coefficient_zeros(coeffs)
     k = perturbation_order(coeffs)
     config, verdict = resolve(zeros, k)
     exact = len(zeros) - k  # the origin zeros of trailing free levels and kappa = 1
@@ -207,32 +176,27 @@ def cmd_spectrum(args) -> int:
             joukowsky(z).real for z, lab in zip(config.points, config.labels) if lab == EIGENVALUE
         ),
     }
-    with _open_out(args.out) as fh:
-        fh.write(_dump(doc) + "\n")
+    _write(doc, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
     if args.trials < 0:
-        _usage(f"--trials must be at least 0, got {args.trials}")
-        return 2
+        raise ValueError(f"--trials must be at least 0, got {args.trials}")
     max_n = args.max_n
     if max_n is not None and max_n < 1:
-        _usage(f"--max-n must be at least 1, got {max_n}")
-        return 2
+        raise ValueError(f"--max-n must be at least 1, got {max_n}")
     function, cap, samples = SUITES[args.suite]
     if cap is not None and max_n is not None and max_n > cap:
         print(f"warning: verify {args.suite} runs at --max-n {cap} at most, got {max_n}", file=sys.stderr)
         max_n = cap
     options = {} if max_n is None else {"max_n": max_n}
     if samples:
-        options.update(gamma=args.gamma, kappa_dist=_parse_kappa(args.kappa), workers=args.workers)
-    try:
-        report = getattr(experiments, function)(args.trials, args.seed, **options)
-    except (InversionError, RootFindingError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return _write_report(report, args.out)
+        kappa = KappaDistribution.from_spec(args.kappa)
+        options.update(gamma=args.gamma, kappa_dist=kappa, workers=args.workers)
+    report = getattr(experiments, function)(args.trials, args.seed, **options)
+    _write(report.to_dict(), args.out)
+    return 0 if report.passed else 1
 
 
 def _config_from_points(doc):
@@ -246,12 +210,13 @@ def _config_from_points(doc):
 
 
 def cmd_density(args) -> int:
-    kappa = _parse_kappa(args.kappa)
+    kappa = KappaDistribution.from_spec(args.kappa)
     if args.mode == "normalize":
         report = experiments.density_normalization_n1(
             args.beta, gamma=args.gamma, kappa_dist=kappa, radius=args.radius
         )
-        return _write_report(report, args.out)
+        _write(report.to_dict(), args.out)
+        return 0 if report.passed else 1
     if args.mode == "mc-compare":
         report = experiments.density_mc_compare_n1(
             args.beta,
@@ -263,7 +228,8 @@ def cmd_density(args) -> int:
             workers=args.workers,
             radius=args.radius,
         )
-        return _write_report(report, args.out)
+        _write(report.to_dict(), args.out)
+        return 0 if report.passed else 1
 
     # eval mode: configuration points from JSON, their count picks n and the law
     config = _config_from_points(_read_json(args.input))
@@ -281,8 +247,7 @@ def cmd_density(args) -> int:
         "in_support": value.in_support,
         "boundary": value.boundary,
     }
-    with _open_out(args.out) as fh:
-        fh.write(_dump(out_doc) + "\n")
+    _write(out_doc, args.out)
     return 0
 
 
@@ -361,10 +326,14 @@ def main(argv=None) -> int:
         # looked up by name at each call, so a wrapper bound over a handler
         # here after the parser was cached, such as perfbench's tracer, sees it
         return globals()[args.handler](args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse
         code = exc.code
         return code if isinstance(code, int) else 2
-    except ValueError as exc:
+    # first: InversionError and LinAlgError are ValueErrors, RootFindingError a RuntimeError
+    except (InversionError, RuntimeError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

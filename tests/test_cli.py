@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from openrmt import EnsembleParams, KappaDistribution, cli, experiments, log_density
+from openrmt.geronimo_case import InversionError
 from openrmt.identities import MAX_TOTAL_JACOBIAN_N
-from openrmt.spectra import canonicalize_conjugates, classify
+from openrmt.spectra import RootFindingError, canonicalize_conjugates, classify
 
 SEED = "4242"
 
@@ -593,3 +594,67 @@ def test_sample_draws_match_the_pinned_digest(capsys, spec):
         digest.update(json.dumps(fields).encode() + b"\n")
     assert len(lines) == 300
     assert digest.hexdigest() == DRAW_DIGESTS[spec]
+
+
+@pytest.mark.parametrize(
+    "exc, status",
+    [
+        (InversionError("level 2: inversion failed"), 1),
+        (RootFindingError("root residuals exceed tolerance"), 1),
+        (np.linalg.LinAlgError("Array must not contain infs or NaNs"), 1),
+        (RuntimeError("3 of 10 sampling trials failed"), 1),
+        (ValueError("bad value"), 2),
+        (OSError("cannot write"), 2),
+    ],
+)
+@pytest.mark.parametrize(
+    "function, argv",
+    [
+        ("roundtrip_suite", ["verify", "roundtrip", "--trials", "2"]),
+        ("run_resonance_sampling", ["sample", "--trials", "2"]),
+    ],
+)
+def test_main_maps_each_exception_to_one_status_and_one_error_line(monkeypatch, capsys, function, argv, exc, status):
+    """The handlers raise; main alone turns an exception into an exit status."""
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(experiments, function, fail)
+    assert cli.main(argv) == status
+    assert capsys.readouterr() == ("", f"error: {exc}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "eval", "--input", "{missing}/points.json"],
+        ["spectrum", "--input", "{missing}/coefficients.json"],
+        ["sample", "--trials", "2", "--out", "{missing}/records.jsonl"],
+        ["sample", "--trials", "2", "--csv", "{missing}/zeros.csv"],
+    ],
+)
+def test_a_path_in_a_missing_directory_is_a_usage_error(capsys, tmp_path, argv):
+    missing = tmp_path / "missing"
+    argv = [arg.format(missing=missing) for arg in argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory: ")
+    assert err.count("\n") == 1 and str(missing) in err
+
+
+def test_a_closed_stdout_pipe_is_one_error_line():
+    env = dict(os.environ)
+    env.pop("OPENRMT_SEED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "openrmt.cli", "sample", "--n", "3", "--trials", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"

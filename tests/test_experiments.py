@@ -91,6 +91,48 @@ def test_membership_suite_all_betas():
     assert report.statistics["max_kappa_residual"] < 1e-9
 
 
+def _move_last_coefficient(monkeypatch, move):
+    """Make every a_n that experiments assembles off by the relative amount move."""
+    real = experiments.coupled_coefficients
+
+    def moved(s, t, gamma, kappa):
+        a, b, failures = real(s, t, gamma, kappa)
+        a[:, -1] *= 1.0 + move
+        return a, b, failures
+
+    monkeypatch.setattr(experiments, "coupled_coefficients", moved)
+
+
+@pytest.mark.parametrize("n, rows", [(1, 200), (3, 200), (64, 40)])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+def test_the_kappa_residual_fails_a_moved_coupling(monkeypatch, beta, n, rows):
+    """The coupling residual catches a last coefficient a_n off by a relative 1e-6.
+
+    On generators 0.. of seed 5 with chi:3:0.5, the unplanted rows read
+    at most 1.6e-13 at these sizes, and no planted row passed
+    KAPPA_IDENTITY_TOL.  Planted at 1e-8, 1 of 200 rows (beta = 4,
+    n = 3, a small kappa) still passed.
+    """
+    params = EnsembleParams(beta, n, 1.0, CHI)
+
+    def residuals():
+        batch = experiments._trial_batch(params, RandomStream(5).generators(0, rows))
+        assert not batch.failures
+        return batch.residual
+
+    assert (residuals() < experiments.KAPPA_IDENTITY_TOL).all()
+    _move_last_coefficient(monkeypatch, 1e-6)
+    assert (residuals() > experiments.KAPPA_IDENTITY_TOL).all()
+
+
+def test_verify_membership_fails_a_moved_coupling(monkeypatch, capsys):
+    _move_last_coefficient(monkeypatch, 1e-6)
+    assert cli.main(["verify", "membership", "--trials", "60", "--seed", "5"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdicts"]["kappa_identity"] is False
+    assert doc["statistics"]["max_kappa_residual"] > experiments.KAPPA_IDENTITY_TOL
+
+
 def test_roundtrip_suite_small():
     report = roundtrip_suite(30, SEED, max_n=8)
     assert report.passed
