@@ -35,9 +35,9 @@ def test_readme_option_table_matches_the_parser():
     table = {}
     for names, options in rows:
         first, *others = re.findall(r"`([^`]*)`", names)
-        *command, _ = first.split()
-        for name in [first, *(" ".join([*command, other]) for other in others)]:
-            table[tuple(name.split())] = options.split()
+        *command, name = first.split()
+        for leaf in (name, *others):
+            table[(*command, leaf)] = options.split()
     parsers = {
         names: [opt for action in parser._actions for opt in action.option_strings if opt not in ("-h", "--help")]
         for names, parser in _leaf_parsers(cli.build_parser(1234))
